@@ -95,8 +95,6 @@ type retiredStats struct {
 	waitNS     int64
 	wakeups    int64
 	spurious   int64
-	combined   int64
-	adopted    int64
 	memSteps   int64
 	casRetries int64
 }
@@ -225,17 +223,8 @@ func NewArena[T comparable](n, k int, aopts ...ArenaOption) (*Arena[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	ar.pool.Put(iarena.Runtime{Mem: mem, Wrap: wrap, Comb: ar.newCombiner(alg)})
+	ar.pool.Put(iarena.Runtime{Mem: mem, Wrap: wrap})
 	return ar, nil
-}
-
-// newCombiner builds one object's scan-combining slot from the arena's
-// mold, or nil when WithScanCombining(false) was configured.
-func (ar *Arena[T]) newCombiner(alg core.Algorithm) *shmem.ScanCombiner {
-	if ar.opts.noCombining {
-		return nil
-	}
-	return shmem.NewScanCombiner(len(alg.Spec().Snaps))
 }
 
 // newAlgorithm builds one object's algorithm from the arena's mold.
@@ -333,11 +322,11 @@ func (ar *Arena[T]) create(sh *arenaShard[T], key string) *ArenaObject[T] {
 			ao.err = err
 			return ao
 		}
-		rt = iarena.Runtime{Mem: m, Wrap: wrap, Comb: ar.newCombiner(alg)}
+		rt = iarena.Runtime{Mem: m, Wrap: wrap}
 	}
 	ao.obj = object[T]{
 		alg:   alg,
-		rt:    &runtime{mem: rt.Mem, wrap: rt.Wrap, opts: ar.opts, eng: ar.eng, comb: rt.Comb},
+		rt:    &runtime{mem: rt.Mem, wrap: rt.Wrap, opts: ar.opts, eng: ar.eng},
 		codec: codec,
 	}
 	ao.handles = make([]*Handle[T], ar.n)
@@ -445,10 +434,12 @@ type ArenaStats struct {
 	Proposes, Steps, Scans   int64
 	WaitTime                 time.Duration
 	Wakeups, SpuriousWakeups int64
-	// ScansCombined and ScansAdopted sum the scan-combining counters over
-	// every handle ever claimed: scans performed for a wake batch and
-	// published, and scans satisfied by adopting a published view.
-	ScansCombined, ScansAdopted int64
+	// ScansAdopted always reads 0: scan combining, whose adopted scans it
+	// counted, has been removed.
+	//
+	// Deprecated: kept only for readers built against the old field; it is
+	// deleted with the next benchmark change.
+	ScansAdopted int64
 	// MemSteps and CASRetries sum the backend memory counters over all
 	// objects and generations.
 	MemSteps, CASRetries int64
@@ -493,7 +484,6 @@ func (ar *Arena[T]) Stats() ArenaStats {
 	s.Proposes, s.Steps, s.Scans = r.proposes, r.steps, r.scans
 	s.WaitTime = time.Duration(r.waitNS)
 	s.Wakeups, s.SpuriousWakeups = r.wakeups, r.spurious
-	s.ScansCombined, s.ScansAdopted = r.combined, r.adopted
 	s.MemSteps, s.CASRetries = r.memSteps, r.casRetries
 	for i := range ar.shards {
 		sh := &ar.shards[i]
@@ -525,8 +515,6 @@ func (ar *Arena[T]) Stats() ArenaStats {
 			s.WaitTime += os.WaitTime
 			s.Wakeups += os.Wakeups
 			s.SpuriousWakeups += os.SpuriousWakeups
-			s.ScansCombined += os.ScansCombined
-			s.ScansAdopted += os.ScansAdopted
 			s.MemSteps += os.MemSteps
 			s.CASRetries += os.CASRetries
 		}
@@ -689,8 +677,6 @@ func (ao *ArenaObject[T]) Stats() Stats {
 		s.WaitTime += time.Duration(h.stats.waitNS.Load())
 		s.Wakeups += h.stats.wakeups.Load()
 		s.SpuriousWakeups += h.stats.spurious.Load()
-		s.ScansCombined += h.stats.combined.Load()
-		s.ScansAdopted += h.stats.adopted.Load()
 	}
 	if dead {
 		s.MemSteps, s.CASRetries = frozenMS, frozenCR
@@ -751,11 +737,9 @@ func (ar *Arena[T]) fold(ao *ArenaObject[T]) {
 	ar.retired.waitNS += int64(s.WaitTime)
 	ar.retired.wakeups += s.Wakeups
 	ar.retired.spurious += s.SpuriousWakeups
-	ar.retired.combined += s.ScansCombined
-	ar.retired.adopted += s.ScansAdopted
 	ar.retired.memSteps += s.MemSteps
 	ar.retired.casRetries += s.CASRetries
 	ao.folded = true
 	ar.retiredMu.Unlock()
-	ar.pool.Put(iarena.Runtime{Mem: ao.obj.rt.mem, Wrap: ao.obj.rt.wrap, Comb: ao.obj.rt.comb})
+	ar.pool.Put(iarena.Runtime{Mem: ao.obj.rt.mem, Wrap: ao.obj.rt.wrap})
 }

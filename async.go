@@ -3,7 +3,6 @@ package setagreement
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -177,11 +176,7 @@ func (ap *asyncProposal[T]) Advance(w engine.Wake) (engine.Park, bool) {
 	g := &h.guard
 	defer func() {
 		if r := recover(); r != nil {
-			err, ok := r.(error)
-			if !ok {
-				err = fmt.Errorf("%v", r)
-			}
-			ap.finish(0, fmt.Errorf("setagreement: async proposal panicked: %w", err))
+			ap.finish(0, panicError(r))
 		}
 	}()
 	if w.Reason == engine.WakeStart {
@@ -190,7 +185,7 @@ func (ap *asyncProposal[T]) Advance(w engine.Wake) (engine.Park, bool) {
 		ap.att = h.res.Begin(h.codec.Encode(ap.val))
 	} else {
 		ap.span.Woken(int(w.Reason), w.Waited, w.Pos)
-		g.resumed(w.Waited, w.Reason == engine.WakeNotify, w.Leader)
+		g.resumed(w.Waited, w.Reason == engine.WakeNotify)
 		// The resumed Step runs yield-free (see guardMem.skipYield): the
 		// woken proposal takes the loop iteration it was parked in, as a
 		// blocking waiter proceeds when AwaitChange returns.

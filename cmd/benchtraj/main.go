@@ -53,7 +53,6 @@ var measuredColumns = map[string]bool{
 	"parked-peak": true, "lookups/sec": true, "ops/sec": true,
 	"proposes": true, "steps": true, "scans": true, "wait": true,
 	"mem-steps": true, "cas-retries": true,
-	"combined": true, "adopted": true, "hit%": true,
 	"submit-ns/prop": true, "ttfd": true, "ttld": true,
 	"count": true, "stage-p50": true, "stage-p95": true,
 }

@@ -41,7 +41,7 @@ import (
 
 func main() {
 	var (
-		table     = flag.String("table", "all", "which table: fig1, t2, t10, dfgr13, snapshots, components, minreg, probe, latency, backends, handles, arena, waits, scans, async, batch, obs, all")
+		table     = flag.String("table", "all", "which table: fig1, t2, t10, dfgr13, snapshots, components, minreg, probe, latency, backends, handles, arena, waits, async, batch, obs, all")
 		n         = flag.Int("n", 6, "number of processes")
 		m         = flag.Int("m", 1, "obstruction degree")
 		k         = flag.Int("k", 2, "agreement degree")
@@ -72,7 +72,6 @@ benchmarks of this implementation. Pick one table with -table or run all:
   handles     per-handle instrumentation through the public API
   arena       arena serving throughput: shards x objects x goroutines
   waits       contended wait latency: backend x contention
-  scans       scan combining: private vs adopted views x proposers x backend
   async       sync vs async serving: in-flight proposals x backend,
               with goroutine cost (the point of ProposeAsync)
   batch       batch vs looped submission: SubmitAll against a
@@ -233,16 +232,6 @@ func run(table string, n, m, k, maxR, instances, seeds int, backend string, dur 
 			return err
 		}
 	}
-	if wantAll || table == "scans" {
-		ran = true
-		backends, err := selectPublicBackends(backend)
-		if err != nil {
-			return err
-		}
-		if err := add(scansTable(backends, dur)); err != nil {
-			return err
-		}
-	}
 	if wantAll || table == "async" {
 		ran = true
 		backends, err := selectPublicBackends(backend)
@@ -378,11 +367,10 @@ func handleStatsTable(backends []setagreement.MemoryBackend, n, k int) (*report.
 // contention, per backend × proposer count. Each cell runs one
 // repeated-agreement object with g goroutines proposing in a closed loop for
 // the duration and reports the p50/p95 per-Propose latency, throughput, and
-// the wait instrumentation (wakeups, spurious wakeups, total blocked time,
-// combined and adopted scans).
+// the wait instrumentation (wakeups, spurious wakeups, total blocked time).
 func waitTable(backends []setagreement.MemoryBackend, dur time.Duration) (*report.Table, error) {
 	t := report.New("Contended Propose wait latency (repeated agreement, k=1)",
-		"backend", "proposers", "p50", "p95", "proposes/sec", "wakeups", "spurious", "wait-total", "combined", "adopted")
+		"backend", "proposers", "p50", "p95", "proposes/sec", "wakeups", "spurious", "wait-total")
 	for _, be := range backends {
 		for _, proposers := range []int{1, 4, 8} {
 			cell, err := measureWait(be, proposers, dur)
@@ -394,47 +382,7 @@ func waitTable(backends []setagreement.MemoryBackend, dur time.Duration) (*repor
 				cell.p95.Round(time.Microsecond).String(),
 				fmt.Sprintf("%.0f", cell.rate),
 				cell.wakeups, cell.spurious,
-				cell.waitTotal.Round(time.Microsecond).String(),
-				cell.combined, cell.adopted)
-		}
-	}
-	return t, nil
-}
-
-// scansTable measures what scan combining is for: the shared-memory scans a
-// wake batch saves, private versus combined, per backend × proposer count.
-// Both variants run the same wait schedule under identical contention; the
-// combining columns report how many scans were served on behalf of a wake
-// batch (published) and how many were satisfied without touching shared
-// memory at all (adopted). hit% is adopted scans as a share of all scans —
-// honest about the fact that combining only engages when waiters genuinely
-// block and wake together, which takes sustained contention, not just
-// concurrent callers.
-func scansTable(backends []setagreement.MemoryBackend, dur time.Duration) (*report.Table, error) {
-	t := report.New("Scan combining (repeated agreement, k=1)",
-		"backend", "combining", "proposers", "p50", "proposes/sec", "scans", "combined", "adopted", "hit%")
-	for _, be := range backends {
-		for _, combining := range []bool{false, true} {
-			for _, proposers := range []int{1, 4, 8} {
-				cell, err := measureWait(be, proposers, dur,
-					setagreement.WithScanCombining(combining))
-				if err != nil {
-					return nil, err
-				}
-				mode := "private"
-				if combining {
-					mode = "combined"
-				}
-				hit := 0.0
-				if cell.scans > 0 {
-					hit = 100 * float64(cell.adopted) / float64(cell.scans)
-				}
-				t.Add(be.String(), mode, proposers,
-					cell.p50.Round(time.Microsecond).String(),
-					fmt.Sprintf("%.0f", cell.rate),
-					cell.scans, cell.combined, cell.adopted,
-					fmt.Sprintf("%.2f", hit))
-			}
+				cell.waitTotal.Round(time.Microsecond).String())
 		}
 	}
 	return t, nil
@@ -446,27 +394,21 @@ type waitCell struct {
 	wakeups   int64
 	spurious  int64
 	waitTotal time.Duration
-	scans     int64
-	combined  int64
-	adopted   int64
 }
 
 // measureWait drives one contended repeated-agreement object: g of n
 // processes propose in a closed loop for the duration; per-Propose
-// latencies are recorded and summarized. Extra options are appended to the
-// object's configuration (the scans table toggles combining this way).
-func measureWait(be setagreement.MemoryBackend, g int, dur time.Duration, extra ...setagreement.Option) (waitCell, error) {
+// latencies are recorded and summarized.
+func measureWait(be setagreement.MemoryBackend, g int, dur time.Duration) (waitCell, error) {
 	n := g
 	if n < 2 {
 		n = 2 // the core's minimum process count
 	}
 	// A window small enough that a Propose crosses several yield points:
 	// solo yields are skipped, contended ones end at the next foreign write.
-	opts := append([]setagreement.Option{
+	r, err := setagreement.NewRepeated[int](n, 1,
 		setagreement.WithMemoryBackend(be),
-		setagreement.WithBackoff(100*time.Microsecond, 5*time.Millisecond, 16),
-	}, extra...)
-	r, err := setagreement.NewRepeated[int](n, 1, opts...)
+		setagreement.WithBackoff(100*time.Microsecond, 5*time.Millisecond, 16))
 	if err != nil {
 		return waitCell{}, err
 	}
@@ -526,9 +468,6 @@ func measureWait(be setagreement.MemoryBackend, g int, dur time.Duration, extra 
 		cell.wakeups += s.Wakeups
 		cell.spurious += s.SpuriousWakeups
 		cell.waitTotal += s.WaitTime
-		cell.scans += s.Scans
-		cell.combined += s.ScansCombined
-		cell.adopted += s.ScansAdopted
 	}
 	return cell, nil
 }

@@ -2,6 +2,7 @@ package setagreement
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -64,12 +65,14 @@ func (h *Handle[T]) ID() int { return h.id }
 // blocks until a decision is reached or ctx is cancelled; cancellation
 // poisons the handle (its half-finished operation cannot be resumed), and
 // every later call fails with ErrPoisoned. A codec Decode failure — only
-// possible with a misbehaving custom codec — also poisons the handle.
-func (h *Handle[T]) Propose(ctx context.Context, v T) (T, error) {
-	if err := h.claim(); err != nil {
-		var zero T
-		return zero, err
+// possible with a misbehaving custom codec — also poisons the handle, and
+// so does a panic out of a custom codec's Encode or Decode: Propose then
+// returns an error wrapping the panic value, as ProposeAsync does.
+func (h *Handle[T]) Propose(ctx context.Context, v T) (dec T, err error) {
+	if err = h.claim(); err != nil {
+		return dec, err
 	}
+	defer h.contain(&dec, &err)
 	// Branch-guarded rather than deferred: the disabled path pays one nil
 	// check and the solo hot path stays allocation-free either way.
 	var start time.Time
@@ -131,6 +134,29 @@ func (h *Handle[T]) commit(out int, err error) (T, error) {
 		h.st.Store(stateFree)
 	}
 	return dec, nil
+}
+
+// contain ends a claimed sync Propose that panicked — out of a custom
+// codec, the only caller-supplied code it runs — the way a failed one ends:
+// the handle poisons and the call returns an error wrapping the panic
+// value, instead of unwinding into the caller with the handle stuck busy.
+// Deferred directly by Propose, so its recover stops the panic.
+func (h *Handle[T]) contain(dec *T, err *error) {
+	if r := recover(); r != nil {
+		h.st.Store(statePoisoned)
+		var zero T
+		*dec, *err = zero, panicError(r)
+	}
+}
+
+// panicError wraps a panic value recovered from a proposal's own code as
+// the error the proposal fails with.
+func panicError(r any) error {
+	err, ok := r.(error)
+	if !ok {
+		err = fmt.Errorf("%v", r)
+	}
+	return fmt.Errorf("setagreement: proposal panicked: %w", err)
 }
 
 // run executes one Propose of the underlying algorithm through the
@@ -210,12 +236,11 @@ type Stats struct {
 	// SpuriousWakeups counts wakeups the notifier absorbed where the
 	// memory's version had not actually advanced; the waiter re-armed.
 	SpuriousWakeups int64
-	// ScansCombined counts scans this handle performed on behalf of a wake
-	// batch and published in the object's combining slot (WithScanCombining).
-	ScansCombined int64
-	// ScansAdopted counts scans this handle satisfied by adopting a view
-	// another process published for the exact change version this handle
-	// observed — scans of shared memory that never happened.
+	// ScansAdopted always reads 0: scan combining, whose adopted scans it
+	// counted, has been removed.
+	//
+	// Deprecated: kept only for readers built against the old field; it is
+	// deleted with the next benchmark change.
 	ScansAdopted int64
 	// MemSteps counts operations executed by the object's shared memory,
 	// across all handles.
@@ -245,8 +270,6 @@ func (h *Handle[T]) Stats() Stats {
 		WaitTime:        time.Duration(h.stats.waitNS.Load()),
 		Wakeups:         h.stats.wakeups.Load(),
 		SpuriousWakeups: h.stats.spurious.Load(),
-		ScansCombined:   h.stats.combined.Load(),
-		ScansAdopted:    h.stats.adopted.Load(),
 	}
 	if st, ok := h.rt.mem.(shmem.Stepper); ok {
 		s.MemSteps = st.Steps()
@@ -266,8 +289,6 @@ type handleStats struct {
 	waitNS   atomic.Int64
 	wakeups  atomic.Int64
 	spurious atomic.Int64
-	combined atomic.Int64
-	adopted  atomic.Int64
 }
 
 // cancelPanic unwinds a Propose blocked inside the algorithm loop when its
@@ -333,17 +354,6 @@ type guardMem struct {
 	// can own writes be subtracted out for solo detection.
 	notifier    shmem.Notifier
 	notifyExact bool
-	// comb is the object's scan-combining slot (nil when combining is
-	// disabled or the memory lacks the Notifier capability). combineArmed
-	// marks the guard as freshly woken by a publish — the one moment several
-	// processes are known to be looking at the same change — and routes the
-	// next scan through the combiner exactly once; combineLead marks the
-	// engine-elected leader of the wake batch, which scans and publishes
-	// instead of adopting. Solo proposers never wake, never arm, and never
-	// touch the slot. Only the owning goroutine touches these fields.
-	comb         shmem.ViewCombiner
-	combineArmed bool
-	combineLead  bool
 	// ownMuts counts mutating operations (Write, Update) issued through
 	// this guard. Only the owning goroutine touches it.
 	ownMuts uint64
@@ -367,7 +377,6 @@ var (
 // seen.
 func (g *guardMem) resetWait() {
 	g.skipYield = false
-	g.combineArmed, g.combineLead = false, false
 	if g.cur == nil {
 		return
 	}
@@ -448,9 +457,7 @@ func (g *guardMem) block(p parkSignal) {
 	cancel()
 	waited := time.Since(start)
 	g.rec.Wait(g.obsKey, g.obsProc, waited, woke)
-	// Sync waiters have no elected wake leader: whoever scans first
-	// publishes, the rest adopt.
-	g.resumed(waited, woke, false)
+	g.resumed(waited, woke)
 	if !woke && g.ctx != nil && g.ctx.Err() != nil {
 		panic(cancelPanic{err: g.ctx.Err()})
 	}
@@ -458,17 +465,13 @@ func (g *guardMem) block(p parkSignal) {
 
 // resumed is the post-park bookkeeping both drivers share. Wait time is
 // charged before the wakeup is counted (the Stats ordering contract: a
-// snapshot showing a wakeup includes its wait). A notify wake means every
-// process the publish woke is looking at the same change, so the next scan
-// goes through the combining slot (lead: the engine elected this one to
-// produce the shared view). Changes that landed during the wait are visible
-// to the next reads, so the solo detector re-bases past them rather than
-// mistake them for fresh contention at the next yield point.
-func (g *guardMem) resumed(waited time.Duration, woke, lead bool) {
+// snapshot showing a wakeup includes its wait). Changes that landed during
+// the wait are visible to the next reads, so the solo detector re-bases past
+// them rather than mistake them for fresh contention at the next yield point.
+func (g *guardMem) resumed(waited time.Duration, woke bool) {
 	g.stats.waitNS.Add(int64(waited))
 	if woke {
 		g.stats.wakeups.Add(1)
-		g.armCombine(lead)
 	}
 	if g.notifier != nil {
 		g.cur.lastVersion = g.notifier.Version()
@@ -493,52 +496,9 @@ func (g *guardMem) Update(snap, comp int, v shmem.Value) {
 	g.inner.Update(snap, comp, v)
 }
 
-// armCombine routes the next scan through the combining slot (no-op when
-// the object has none); lead marks the engine-elected leader of the wake
-// batch.
-func (g *guardMem) armCombine(lead bool) {
-	if g.comb == nil {
-		return
-	}
-	g.combineArmed, g.combineLead = true, lead
-}
-
-// takeCombineArm consumes the arm: combining applies to the first scan
-// after the wakeup only, after which the woken process is an ordinary
-// contender again.
-func (g *guardMem) takeCombineArm() (armed, lead bool) {
-	armed, lead = g.combineArmed, g.combineLead
-	g.combineArmed, g.combineLead = false, false
-	return armed, lead
-}
-
-// combinedScan serves one scan through the combining slot. The version is
-// read before the private scan, so the published pair honors the
-// ViewCombiner contract; a view is adopted only when its slot version
-// equals the version this process currently observes, which makes it
-// indistinguishable from a scan this process performed itself (see the
-// contract on shmem.ViewCombiner). The wake leader skips adoption: it is
-// elected to produce the view the rest of its batch adopts.
-func (g *guardMem) combinedScan(snap int, lead bool) []shmem.Value {
-	v := g.notifier.Version()
-	if !lead {
-		if view, ok := g.comb.Adopt(snap, v); ok {
-			g.stats.adopted.Add(1)
-			return view
-		}
-	}
-	view := g.inner.Scan(snap)
-	g.comb.Publish(snap, v, view)
-	g.stats.combined.Add(1)
-	return view
-}
-
 func (g *guardMem) Scan(snap int) []shmem.Value {
 	g.pre()
 	g.stats.scans.Add(1)
-	if armed, lead := g.takeCombineArm(); armed {
-		return g.combinedScan(snap, lead)
-	}
 	return g.inner.Scan(snap)
 }
 
@@ -550,29 +510,8 @@ func (g *guardMem) Scan(snap int) []shmem.Value {
 func (g *guardMem) TryScan(snap, attempts int) ([]shmem.Value, bool) {
 	g.pre()
 	g.stats.scans.Add(1)
-	armed, lead := g.takeCombineArm()
-	var v uint64
-	if armed {
-		v = g.notifier.Version()
-		if !lead {
-			if view, ok := g.comb.Adopt(snap, v); ok {
-				g.stats.adopted.Add(1)
-				return view, true
-			}
-		}
+	if ts, ok := g.inner.(shmem.TryScanner); ok {
+		return ts.TryScan(snap, attempts)
 	}
-	var view []shmem.Value
-	ok := true
-	if ts, isTry := g.inner.(shmem.TryScanner); isTry {
-		view, ok = ts.TryScan(snap, attempts)
-	} else {
-		view = g.inner.Scan(snap)
-	}
-	if ok && armed {
-		// A bounded scan that succeeded is a linearizable scan like any
-		// other, and v was read before it — publishable as usual.
-		g.comb.Publish(snap, v, view)
-		g.stats.combined.Add(1)
-	}
-	return view, ok
+	return g.inner.Scan(snap), true
 }

@@ -1,7 +1,7 @@
 // Package capassert implements the salint analyzer for optional-capability
 // type assertions.
 //
-// shmem capabilities — Notifier, Resetter, ViewCombiner, CASRetrier (and
+// shmem capabilities — Notifier, Resetter, CASRetrier, TryScanner (and
 // the other optional interfaces of the shmem package) — are exactly that:
 // optional. The layering contract everywhere in this module is that a
 // backend without a capability *degrades* — the wait layer falls back to
@@ -28,12 +28,11 @@ import (
 // capabilities are the optional shmem interfaces whose presence must be
 // probed, never assumed.
 var capabilities = map[string]bool{
-	"Notifier":     true,
-	"Resetter":     true,
-	"ViewCombiner": true,
-	"CASRetrier":   true,
-	"Stepper":      true,
-	"TryScanner":   true,
+	"Notifier":   true,
+	"Resetter":   true,
+	"CASRetrier": true,
+	"Stepper":    true,
+	"TryScanner": true,
 }
 
 // Analyzer flags single-result assertions to shmem capability interfaces.

@@ -21,12 +21,12 @@ func probeNotifier(m shmem.Mem) uint64 {
 	return 0
 }
 
-func probeCombiner(m shmem.Mem) ([]shmem.Value, bool) {
-	comb, ok := m.(shmem.ViewCombiner)
+func probeTryScanner(m shmem.Mem) ([]shmem.Value, bool) {
+	ts, ok := m.(shmem.TryScanner)
 	if !ok {
 		return nil, false
 	}
-	return comb.Adopt(0, 1)
+	return ts.TryScan(0, 8)
 }
 
 func switchProbe(m shmem.Mem) int64 {

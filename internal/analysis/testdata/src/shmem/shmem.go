@@ -44,9 +44,3 @@ type Stepper interface {
 type CASRetrier interface {
 	CASRetries() int64
 }
-
-// ViewCombiner is the scan-combining capability.
-type ViewCombiner interface {
-	Adopt(snap int, version uint64) ([]Value, bool)
-	Publish(snap int, version uint64, view []Value)
-}

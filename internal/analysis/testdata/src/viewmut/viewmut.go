@@ -1,5 +1,5 @@
 // Package viewmut exercises the read-only snapshot view rule: writes
-// through views obtained from Scan/TryScan/Adopt (or received as view
+// through views obtained from Scan/TryScan (or received as view
 // parameters) are flagged; mutations of fresh private buffers are not.
 package viewmut
 
@@ -16,13 +16,6 @@ func mutateTryScan(ts shmem.TryScanner) {
 		return
 	}
 	view[0] = 1 // want "write through snapshot view view"
-}
-
-func mutateAdopted(c shmem.ViewCombiner) {
-	view, ok := c.Adopt(0, 1)
-	if ok {
-		view[0] = nil // want "write through snapshot view view"
-	}
 }
 
 func mutateParam(view []shmem.Value) {
@@ -47,13 +40,6 @@ func addressEscape(m shmem.Mem) *shmem.Value {
 func resliceStillView(m shmem.Mem) {
 	tail := m.Scan(0)[1:]
 	tail[0] = nil // want "write through snapshot view tail"
-}
-
-// identityProbe is the allowed use of element addresses: comparing backing
-// arrays to assert two scans adopted the same published view.
-func identityProbe(m shmem.Mem, other []shmem.Value) bool {
-	view := m.Scan(0)
-	return &view[0] == &other[0]
 }
 
 // privateBuffer mirrors internal/register.LockFree.Update: the current view

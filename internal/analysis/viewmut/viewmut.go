@@ -1,10 +1,8 @@
 // Package viewmut implements the salint analyzer for the shmem read-only
 // view rule.
 //
-// A slice obtained from Scan, TryScan or a combining-slot Adopt is a
-// snapshot *view*: backends return their immutable current version
-// copy-free (register.LockFree), the wait layer shares one adopted view
-// across every process woken by the same publish (shmem.ViewCombiner), and
+// A slice obtained from Scan or TryScan is a snapshot *view*: backends
+// return their immutable current version copy-free (register.LockFree), and
 // MW snapshots embed views in written cells. One stray store through such a
 // slice is silent cross-proposer corruption that the race detector can
 // miss — the write may race with nothing while still rewriting another
@@ -14,7 +12,7 @@
 //
 // The check is a per-function forward taint pass. Tainted sources:
 //
-//   - results of calls named Scan/TryScan/Adopt whose result is a
+//   - results of calls named Scan/TryScan whose result is a
 //     []shmem.Value (any receiver — the rule holds through every wrapper),
 //   - parameters of type []shmem.Value (a view handed to a helper is still
 //     a view: scanutil's helpers are checked this way).
@@ -24,10 +22,7 @@
 // fresh private buffer). Flagged sinks: element stores (v[i] = x, v[i]++,
 // v[i] += x), copy with a tainted destination, append to a tainted slice
 // (append may store in place when capacity allows), and taking the address
-// of a view element (an escape hatch for all of the above). One carve-out:
-// &v[i] appearing directly as an operand of == or != is a backing-array
-// identity probe — a pure read, and the canonical way the combining tests
-// assert that two scans adopted the same published view — so it is allowed.
+// of a view element (an escape hatch for all of the above).
 package viewmut
 
 import (
@@ -62,11 +57,6 @@ func run(pass *analysis.Pass) error {
 func checkFunc(pass *analysis.Pass, ftype *ast.FuncType, body *ast.BlockStmt) {
 	tainted := map[types.Object]bool{}
 	seedParams(pass, ftype, tainted)
-	// compared marks expressions that are direct operands of == / != —
-	// &v[i] in that position is an identity probe, not a write enabler.
-	// ast.Inspect visits parents before children, so a comparison marks its
-	// operands before the UnaryExpr case below sees them.
-	compared := map[ast.Node]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -79,13 +69,8 @@ func checkFunc(pass *analysis.Pass, ftype *ast.FuncType, body *ast.BlockStmt) {
 			}
 		case *ast.CallExpr:
 			checkCall(pass, n, tainted)
-		case *ast.BinaryExpr:
-			if n.Op == token.EQL || n.Op == token.NEQ {
-				compared[ast.Unparen(n.X)] = true
-				compared[ast.Unparen(n.Y)] = true
-			}
 		case *ast.UnaryExpr:
-			if n.Op != token.AND || compared[n] {
+			if n.Op != token.AND {
 				return true
 			}
 			if idx, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok && taintedExpr(pass, idx.X, tainted) {
@@ -128,8 +113,8 @@ func checkAssign(pass *analysis.Pass, as *ast.AssignStmt, tainted map[types.Obje
 			setTaint(pass, lhs, taintedExpr(pass, as.Rhs[i], tainted), tainted)
 		}
 	case len(as.Rhs) == 1:
-		// view, ok := mem.TryScan(...) / comb.Adopt(...): the view is
-		// result 0; every other result is scalar.
+		// view, ok := mem.TryScan(...): the view is result 0; every other
+		// result is scalar.
 		src := sourceCall(pass, as.Rhs[0])
 		for i, lhs := range as.Lhs {
 			setTaint(pass, lhs, i == 0 && src, tainted)
@@ -200,7 +185,7 @@ func taintedExpr(pass *analysis.Pass, e ast.Expr, tainted map[types.Object]bool)
 	return false
 }
 
-// sourceCall reports whether e is a call to Scan/TryScan/Adopt returning a
+// sourceCall reports whether e is a call to Scan/TryScan returning a
 // view ([]shmem.Value as the sole or first result).
 func sourceCall(pass *analysis.Pass, e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
@@ -208,7 +193,7 @@ func sourceCall(pass *analysis.Pass, e ast.Expr) bool {
 		return false
 	}
 	switch analysis.CalleeName(call) {
-	case "Scan", "TryScan", "Adopt":
+	case "Scan", "TryScan":
 	default:
 		return false
 	}

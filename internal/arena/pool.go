@@ -15,12 +15,6 @@ import (
 type Runtime struct {
 	Mem  shmem.Mem
 	Wrap func(id int) shmem.Mem
-	// Comb is the object's scan-combining slot (nil when combining is off
-	// or the memory lacks the Notifier capability). It recycles with the
-	// memory and is cleared on Put: the notifier's version rewinds on
-	// Reset, so a stale slot could match a re-reached version of the next
-	// tenant and leak a previous generation's view.
-	Comb *shmem.ScanCombiner
 }
 
 // Pool recycles the Runtimes of evicted arena objects. An eviction Puts the
@@ -89,9 +83,6 @@ func (p *Pool) Put(rt Runtime) bool {
 		cap = DefaultCap
 	}
 	r.Reset()
-	if rt.Comb != nil {
-		rt.Comb.Reset()
-	}
 	p.mu.Lock()
 	if len(p.free) >= cap {
 		p.mu.Unlock()

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -51,8 +50,7 @@ func TestSubmitBatchEmptyIsNoOp(t *testing.T) {
 
 func TestSubmitBatchPreservesOrderBeyondWorkers(t *testing.T) {
 	// With one worker held by a gate, the rest of the batch must drain in
-	// submission order (fresh submissions are FIFO; only notify wakes are
-	// reordered).
+	// submission order: the run queue is FIFO.
 	e := engine.New(1)
 	defer e.Close()
 	gate := make(chan struct{})
@@ -114,114 +112,6 @@ func TestSubmitBatchClosedAbortsAll(t *testing.T) {
 	}
 	if got := e.InFlight(); got != 0 {
 		t.Fatalf("InFlight() = %d after closed-engine batch, want 0", got)
-	}
-}
-
-// orderNotifier is a Notifier whose Waiters() gauge is preset by the test:
-// the wake-ordering test parks proposals on notifiers of differing
-// contention and fires their registrations by hand.
-type orderNotifier struct {
-	waiters int64
-
-	mu   sync.Mutex
-	ver  uint64
-	regs []func()
-}
-
-func (n *orderNotifier) Version() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ver
-}
-
-func (n *orderNotifier) AwaitChange(ctx context.Context, v uint64) (int, error) {
-	return 0, ctx.Err()
-}
-
-func (n *orderNotifier) RegisterWake(v uint64, fn func()) (cancel func()) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.ver > v {
-		fn()
-		return func() {}
-	}
-	n.regs = append(n.regs, fn)
-	return func() {}
-}
-
-func (n *orderNotifier) Waiters() int64 { return n.waiters }
-
-// publish advances the version and fires every registration.
-func (n *orderNotifier) publish() {
-	n.mu.Lock()
-	n.ver++
-	regs := n.regs
-	n.regs = nil
-	n.mu.Unlock()
-	for _, fn := range regs {
-		fn()
-	}
-}
-
-func TestWakeBatchAdvancesLeastContendedFirst(t *testing.T) {
-	// Three proposals park on objects of contention 5, 1 and 3. While the
-	// single worker is held busy, one "publish" wakes all three; the engine
-	// must drain the wake batch least-contended-object-first (1, 3, 5), not
-	// in wake-arrival order (5, 1, 3).
-	e := engine.New(1)
-	defer e.Close()
-	notifiers := []*orderNotifier{{waiters: 5}, {waiters: 1}, {waiters: 3}}
-	var mu sync.Mutex
-	var order []int64
-	var done sync.WaitGroup
-	done.Add(len(notifiers))
-	for _, n := range notifiers {
-		n := n
-		e.Submit(newTestProposal(func(w engine.Wake) (engine.Park, bool) {
-			if w.Reason == engine.WakeStart {
-				return engine.Park{Notifier: n, Version: n.Version(), Cap: time.Hour}, true
-			}
-			if w.Reason != engine.WakeNotify {
-				t.Errorf("woken with reason %v, want notify", w.Reason)
-			}
-			mu.Lock()
-			order = append(order, n.waiters)
-			mu.Unlock()
-			done.Done()
-			return engine.Park{}, false
-		}))
-	}
-	awaitParked(t, e, int64(len(notifiers)))
-	// Hold the only worker so the wakes pile up on the run queue instead of
-	// being picked up one by one as they arrive.
-	gate := make(chan struct{})
-	released := make(chan struct{})
-	e.Submit(newTestProposal(func(engine.Wake) (engine.Park, bool) {
-		close(released)
-		<-gate
-		return engine.Park{}, false
-	}))
-	<-released
-	for _, n := range notifiers {
-		n.publish()
-	}
-	// All three wakes must be queued before the worker frees up.
-	deadline := time.Now().Add(10 * time.Second)
-	for e.Parked() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("wakes did not drain the parked set (still %d parked)", e.Parked())
-		}
-		runtime.Gosched()
-	}
-	close(gate)
-	waitWG(t, &done)
-	mu.Lock()
-	defer mu.Unlock()
-	want := []int64{1, 3, 5}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("wake batch advanced in contention order %v, want %v (least first)", order, want)
-		}
 	}
 }
 

@@ -84,15 +84,6 @@ type Wake struct {
 	// its batch). Advisory, for observability only — by the time the
 	// proposal actually runs the queue ahead of it has drained.
 	Pos int
-	// Leader marks at most one WakeNotify resumption among those the
-	// engine is advancing at any moment. When a publish wakes a batch of
-	// parked proposals, the leader is the natural candidate to perform
-	// the shared scan and publish it in the combining slot while the rest
-	// adopt first (see shmem.ViewCombiner); the engine elects it so the
-	// batch does not all race to scan. Purely advisory — a non-leader
-	// that finds no view to adopt scans privately, and correctness never
-	// depends on who is leader.
-	Leader bool
 }
 
 // Park describes how a proposal that would block wants to wait.
@@ -189,13 +180,6 @@ type task struct {
 	// size on the submitter's side of the handoff.
 	batch []Proposal
 
-	// gauge is the contention of the object the task last parked on —
-	// Notifier.Waiters() sampled at park time, 0 for blind parks. It is
-	// atomic because the run-queue insert reads it for queued tasks while
-	// the parker (a different goroutine across parks) wrote it; advisory
-	// only, so a stale sample costs ordering quality, never correctness.
-	gauge atomic.Int64
-
 	// pos is the run-queue position of the task's latest enqueue, reported
 	// to the proposal as Wake.Pos. Written by whoever enqueues the task —
 	// under e.mu for queue inserts, before the go statement for direct
@@ -225,12 +209,6 @@ type Engine struct {
 
 	inFlight atomic.Int64
 	wg       sync.WaitGroup
-
-	// leadFree elects the combining leader among notify-woken proposals:
-	// the worker that claims it (CAS true→false) advances its proposal
-	// with Wake.Leader set and releases it when the Advance returns, so
-	// exactly one notify wake is mid-advance as leader at any moment.
-	leadFree atomic.Bool
 
 	caps capWheel
 
@@ -303,7 +281,6 @@ func New(workers int) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{workers: workers, parked: make(map[*task]struct{})}
-	e.leadFree.Store(true)
 	e.caps.e = e
 	return e
 }
@@ -443,43 +420,9 @@ func (e *Engine) enqueue(t *task) {
 		go e.drain(t)
 		return
 	}
-	e.insertLocked(t)
+	t.pos = int32(len(e.queue))
+	e.queue = append(e.queue, t)
 	e.mu.Unlock()
-}
-
-// insertLocked places t on the run queue. Fresh submissions and
-// timeout/cancel wakes append FIFO. A notify wake is placed
-// least-contended-object-first within the contiguous run of notify-woken
-// tasks at the queue's tail — the wake batch one publish produced. Under
-// obstruction-freedom the least-contended proposal is the one closest to
-// running solo, so it decides (and frees its slot, and stops contending
-// with the rest of its batch) fastest; draining a wake batch in that order
-// retires it sooner than FIFO does. Only the tail run is reordered: a
-// notify wake never jumps tasks woken by other causes, so timeout and
-// cancel wakes keep their arrival order and nothing starves.
-func (e *Engine) insertLocked(t *task) {
-	if WakeReason(t.st.Load()>>reasonShift&stMask) != WakeNotify {
-		t.pos = int32(len(e.queue))
-		e.queue = append(e.queue, t)
-		return
-	}
-	g := t.gauge.Load()
-	i := len(e.queue)
-	for i > 0 {
-		prev := e.queue[i-1]
-		// Queued tasks' state words are stable while e.mu is held (leaving
-		// the queue requires the lock), so the reason bits read here are
-		// those of the wake that enqueued prev.
-		if WakeReason(prev.st.Load()>>reasonShift&stMask) != WakeNotify ||
-			prev.gauge.Load() <= g {
-			break
-		}
-		i--
-	}
-	t.pos = int32(i)
-	e.queue = append(e.queue, nil)
-	copy(e.queue[i+1:], e.queue[i:len(e.queue)-1])
-	e.queue[i] = t
 }
 
 // abort delivers ErrClosed to a task the engine will never advance again.
@@ -558,10 +501,6 @@ func (e *Engine) run(t *task) {
 		w.Waited = time.Since(t.parkStart)
 	}
 	e.stopSources(t)
-	if w.Reason == WakeNotify && e.leadFree.CompareAndSwap(true, false) {
-		w.Leader = true
-		defer e.leadFree.Store(true)
-	}
 	park, parked := t.p.Advance(w)
 	if !parked {
 		e.inFlight.Add(-1)
@@ -588,14 +527,6 @@ func (e *Engine) park(t *task, park Park) {
 	}
 
 	t.parkStart = time.Now()
-	// Sample the object's contention before registering this park's own
-	// wake: if a publish later wakes a whole batch, the run-queue insert
-	// orders the batch least-contended-first by this gauge.
-	if park.Notifier != nil {
-		t.gauge.Store(park.Notifier.Waiters())
-	} else {
-		t.gauge.Store(0)
-	}
 	gen := t.st.Load()>>genShift + 1
 	t.st.Store(word(stParking, 0, gen))
 	if park.Notifier != nil {

@@ -292,57 +292,6 @@ func TestEngineParkWakeChurn(t *testing.T) {
 	}
 }
 
-func TestEngineNotifyLeaderElection(t *testing.T) {
-	// One publish wakes a batch of parked proposals. The engine must mark
-	// at most one of the concurrently advancing notify wakes as Leader,
-	// and the first notify advance to run must get it (leadership is free
-	// before the batch).
-	e := engine.New(4)
-	defer e.Close()
-	var b shmem.Broadcast
-	const proposals = 8
-	var concurrent, everLeader atomic.Int32
-	gate := make(chan struct{})
-	advanced := make(chan struct{}, proposals)
-	for i := 0; i < proposals; i++ {
-		e.Submit(newTestProposal(func(w engine.Wake) (engine.Park, bool) {
-			if w.Reason == engine.WakeStart {
-				return engine.Park{Notifier: &b, Version: b.Version(), Cap: time.Hour}, true
-			}
-			if w.Leader {
-				if n := concurrent.Add(1); n > 1 {
-					t.Errorf("%d concurrent leaders", n)
-				}
-				everLeader.Add(1)
-				<-gate // hold leadership while the rest of the batch advances
-				concurrent.Add(-1)
-			}
-			advanced <- struct{}{}
-			return engine.Park{}, false
-		}))
-	}
-	awaitParked(t, e, proposals)
-	b.Publish()
-	// The first notify advance claims leadership and holds it on the gate;
-	// every other member of the batch must advance leaderless meanwhile.
-	for i := 0; i < proposals-1; i++ {
-		select {
-		case <-advanced:
-		case <-time.After(10 * time.Second):
-			t.Fatal("batch did not advance while the leader held its advance")
-		}
-	}
-	close(gate)
-	select {
-	case <-advanced:
-	case <-time.After(10 * time.Second):
-		t.Fatal("leader never finished")
-	}
-	if got := everLeader.Load(); got != 1 {
-		t.Fatalf("%d leaders across one wake batch, want 1", got)
-	}
-}
-
 func waitWG(t *testing.T, wg *sync.WaitGroup) {
 	t.Helper()
 	done := make(chan struct{})

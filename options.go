@@ -108,9 +108,8 @@ type options struct {
 	backoffMin    time.Duration
 	backoffMax    time.Duration
 	backoffStep   int
-	engineWorkers int  // 0 = GOMAXPROCS, resolved by engine.New
-	noCombining   bool // WithScanCombining(false): disable the combiner
-	codec         any  // Codec[T] supplied by WithCodec; resolved per entry point
+	engineWorkers int // 0 = GOMAXPROCS, resolved by engine.New
+	codec         any // Codec[T] supplied by WithCodec; resolved per entry point
 	obs           *obs.Collector
 }
 
@@ -233,24 +232,6 @@ func WithEngine(workers int) Option {
 			return fmt.Errorf("setagreement: engine worker count must be ≥ 0, got %d", workers)
 		}
 		o.engineWorkers = workers
-		return nil
-	})
-}
-
-// WithScanCombining enables or disables version-keyed scan combining
-// (default enabled). When a publish wakes several waiting proposers at the
-// same change version, one of them scans and publishes {version, view} in
-// an atomic combining slot; the others adopt the published view instead of
-// re-scanning, falling back to a private scan the moment the version has
-// moved. An adopted view is keyed to the exact change version the adopter
-// itself observed, which makes it indistinguishable from a scan the adopter
-// performed — linearizability and m-obstruction-freedom are untouched (see
-// DESIGN.md). Combining engages only on wakeups, so solo proposers never
-// touch the slot; disable it to measure the uncombined baseline (see
-// sabench's `scans` table).
-func WithScanCombining(enabled bool) Option {
-	return optionFunc(func(o *options) error {
-		o.noCombining = !enabled
 		return nil
 	})
 }

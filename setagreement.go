@@ -77,11 +77,6 @@ func (o *object[T]) handle(id int, oneShot bool) *Handle[T] {
 	h.guard.obsProc = int32(id)
 	if nt, ok := h.guard.inner.(shmem.Notifier); ok {
 		h.guard.notifier = nt
-		if o.rt.comb != nil {
-			// Scan combining rides on the notifier: the combiner's slots are
-			// keyed by its change version (see shmem.ViewCombiner).
-			h.guard.comb = o.rt.comb
-		}
 		// Solo detection needs the notifier's version to tick exactly once
 		// per logical mutation this guard issues; that holds only on the
 		// atomic snapshot runtime, where guard operations are backend
@@ -256,11 +251,6 @@ type runtime struct {
 	wrap func(id int) shmem.Mem
 	opts options
 	eng  *engineRef
-	// comb is the object's scan-combining slot, one per snapshot object
-	// (nil when WithScanCombining(false)); handles wire it into their
-	// guards only when the memory has the Notifier capability. On an arena
-	// it recycles with the memory through the pool.
-	comb *shmem.ScanCombiner
 }
 
 func newRuntime(alg core.Algorithm, o options, anonymous bool) (*runtime, error) {
@@ -272,9 +262,5 @@ func newRuntime(alg core.Algorithm, o options, anonymous bool) (*runtime, error)
 	if err != nil {
 		return nil, err
 	}
-	rt := &runtime{mem: mem, wrap: wrap, opts: o, eng: &engineRef{workers: o.engineWorkers, obsv: observerFor(o.obs)}}
-	if !o.noCombining {
-		rt.comb = shmem.NewScanCombiner(len(alg.Spec().Snaps))
-	}
-	return rt, nil
+	return &runtime{mem: mem, wrap: wrap, opts: o, eng: &engineRef{workers: o.engineWorkers, obsv: observerFor(o.obs)}}, nil
 }

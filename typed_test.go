@@ -393,3 +393,42 @@ func TestHandleStats(t *testing.T) {
 		t.Fatalf("object-wide MemSteps not shared: %d", s1.MemSteps)
 	}
 }
+
+// TestProposeCodecPanicPoisons: a custom codec that panics in a sync
+// Propose — in Encode before the run, or in Decode after the decision —
+// fails that call with an error carrying the panic value and poisons the
+// handle, instead of unwinding into the caller with the handle stuck busy.
+func TestProposeCodecPanicPoisons(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		codec setagreement.Codec[string]
+		in    string
+		want  string
+	}{
+		{"encode", colorCodec{}, "purple", `color "purple" outside the codec domain`},
+		{"decode", decodePanicCodec{}, "red", "decode refused code 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := setagreement.New[string](3, 1, setagreement.WithCodec(tc.codec))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			h := claimAll(t, a, 1)[0]
+			ctx := context.Background()
+			_, err = h.Propose(ctx, tc.in)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("panicking codec: Propose returned %v, want an error carrying %q", err, tc.want)
+			}
+			if _, err := h.Propose(ctx, "red"); !errors.Is(err, setagreement.ErrPoisoned) {
+				t.Fatalf("handle after a panicked Propose: %v, want ErrPoisoned", err)
+			}
+		})
+	}
+}
+
+// decodePanicCodec encodes like colorCodec but panics on every Decode.
+type decodePanicCodec struct{ colorCodec }
+
+func (decodePanicCodec) Decode(code int) (string, error) {
+	panic(fmt.Errorf("decode refused code %d", code))
+}

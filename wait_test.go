@@ -96,3 +96,71 @@ func TestNotifySoloProposeIsFast(t *testing.T) {
 		}
 	})
 }
+
+// TestContentionHammer is the multi-waiter race test: eight proposers over
+// one repeated object on both backends, sync and async, every proposer
+// crossing yield points under WithBackoff. Under -race it exercises every
+// wait and wake path; at the end each round must have decided at most k
+// distinct values.
+func TestContentionHammer(t *testing.T) {
+	const n, k, rounds = 8, 2, 30
+	for _, be := range []setagreement.MemoryBackend{setagreement.BackendLockFree, setagreement.BackendLocked} {
+		for _, async := range []bool{false, true} {
+			mode := "sync"
+			if async {
+				mode = "async"
+			}
+			t.Run(fmt.Sprintf("%v/%s", be, mode), func(t *testing.T) {
+				r, err := setagreement.NewRepeated[int](n, k,
+					setagreement.WithMemoryBackend(be),
+					setagreement.WithBackoff(50*time.Microsecond, 2*time.Millisecond, 8))
+				if err != nil {
+					t.Fatalf("NewRepeated: %v", err)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+				defer cancel()
+				handles := make([]*setagreement.Handle[int], n)
+				for id := range handles {
+					if handles[id], err = r.Proc(id); err != nil {
+						t.Fatalf("Proc(%d): %v", id, err)
+					}
+				}
+				decisions := make([][]int, n)
+				var wg sync.WaitGroup
+				for id, h := range handles {
+					wg.Add(1)
+					go func(id int, h *setagreement.Handle[int]) {
+						defer wg.Done()
+						for i := 0; i < rounds; i++ {
+							var d int
+							var err error
+							if async {
+								d, err = h.ProposeAsync(ctx, id*rounds+i).Value()
+							} else {
+								d, err = h.Propose(ctx, id*rounds+i)
+							}
+							if err != nil {
+								t.Errorf("proposer %d round %d: %v", id, i, err)
+								return
+							}
+							decisions[id] = append(decisions[id], d)
+						}
+					}(id, h)
+				}
+				wg.Wait()
+				if t.Failed() {
+					return
+				}
+				for i := 0; i < rounds; i++ {
+					distinct := make(map[int]bool)
+					for id := range decisions {
+						distinct[decisions[id][i]] = true
+					}
+					if len(distinct) > k {
+						t.Fatalf("round %d: %d distinct decisions, want ≤ %d", i, len(distinct), k)
+					}
+				}
+			})
+		}
+	}
+}
