@@ -3,6 +3,7 @@ package setagreement_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	sa "setagreement"
@@ -124,5 +125,115 @@ func TestSubmitBatchAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, round) / size; n > batchRoundAllocCeiling {
 		t.Errorf("batch round allocates %.2f/proposal, ceiling %d", n, batchRoundAllocCeiling)
+	}
+}
+
+// The allocation counts above do not grow with the depth of a repeated
+// object's output history, so they cannot catch a history whose cost does.
+// The depth gate below compares heap bytes per Propose at a shallow and a
+// deep history instead: the deep figure may exceed the shallow one by at
+// most depthByteSlack.
+const (
+	shallowDepth   = 128
+	deepDepth      = 4096
+	depthByteSlack = 64
+)
+
+// proposeN runs n Proposes of v on h and returns n.
+func proposeN(t *testing.T, h *sa.Handle[int], n, v int) int {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := h.Propose(context.Background(), v); err != nil {
+			t.Fatalf("propose: %v", err)
+		}
+	}
+	return n
+}
+
+// bytesPerPropose reports heap bytes allocated per measured Propose. Each
+// of rounds rounds runs lead unmeasured, when non-nil, and then measure,
+// which returns how many Proposes it made.
+func bytesPerPropose(rounds int, lead func(), measure func() int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	var bytes uint64
+	calls := 0
+	for i := 0; i < rounds; i++ {
+		if lead != nil {
+			lead()
+		}
+		runtime.ReadMemStats(&before)
+		calls += measure()
+		runtime.ReadMemStats(&after)
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	return float64(bytes) / float64(calls)
+}
+
+// depthCases each build a fresh object, grow its history to depth and
+// report bytes per Propose from there.
+var depthCases = []struct {
+	name  string
+	bytes func(t *testing.T, depth int) float64
+}{
+	{"repeated leader", func(t *testing.T, depth int) float64 {
+		r, err := sa.NewRepeated[int](4, 1)
+		if err != nil {
+			t.Fatalf("NewRepeated: %v", err)
+		}
+		h, err := r.Proc(0)
+		if err != nil {
+			t.Fatalf("Proc: %v", err)
+		}
+		proposeN(t, h, depth, 7)
+		return bytesPerPropose(8, nil, func() int { return proposeN(t, h, 64, 7) })
+	}},
+	{"repeated follower 64 behind", func(t *testing.T, depth int) float64 {
+		r, err := sa.NewRepeated[int](2, 1)
+		if err != nil {
+			t.Fatalf("NewRepeated: %v", err)
+		}
+		leader, err := r.Proc(0)
+		if err != nil {
+			t.Fatalf("Proc: %v", err)
+		}
+		follower, err := r.Proc(1)
+		if err != nil {
+			t.Fatalf("Proc: %v", err)
+		}
+		proposeN(t, leader, depth, 7)
+		proposeN(t, follower, depth, 8)
+		return bytesPerPropose(8,
+			func() { proposeN(t, leader, 64, 7) },
+			func() int { return proposeN(t, follower, 64, 8) })
+	}},
+	{"anonymous solo session", func(t *testing.T, depth int) float64 {
+		a, err := sa.NewAnonymous[int](4, 1)
+		if err != nil {
+			t.Fatalf("NewAnonymous: %v", err)
+		}
+		h, err := a.Session()
+		if err != nil {
+			t.Fatalf("Session: %v", err)
+		}
+		proposeN(t, h, depth, 7)
+		return bytesPerPropose(8, nil, func() int { return proposeN(t, h, 64, 7) })
+	}},
+}
+
+// TestProposeBytesIndependentOfDepth guards the constant-cost output
+// histories of Figures 4 and 5: a Propose at a deep history may allocate at
+// most depthByteSlack bytes more than one at a shallow history, for a solo
+// leader, a follower catching up 64 instances and an anonymous session.
+func TestProposeBytesIndependentOfDepth(t *testing.T) {
+	for _, c := range depthCases {
+		t.Run(c.name, func(t *testing.T) {
+			shallow, deep := c.bytes(t, shallowDepth), c.bytes(t, deepDepth)
+			t.Logf("%.0f B/op at depth %d, %.0f B/op at depth %d", shallow, shallowDepth, deep, deepDepth)
+			if deep > shallow+depthByteSlack {
+				t.Errorf("Propose allocates %.0f B at depth %d against %.0f B at depth %d, slack %d B",
+					deep, deepDepth, shallow, shallowDepth, depthByteSlack)
+			}
+		})
 	}
 }

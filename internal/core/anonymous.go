@@ -17,7 +17,7 @@ type ATuple struct {
 
 // String renders the tuple as "(v,t,his)".
 func (t ATuple) String() string {
-	return fmt.Sprintf("(%d,t%d,%q)", t.Val, t.T, string(t.His))
+	return fmt.Sprintf("(%d,t%d,%q)", t.Val, t.T, t.His.String())
 }
 
 // AnonRepeated is the anonymous m-obstruction-free repeated k-set agreement
@@ -38,6 +38,7 @@ type AnonRepeated struct {
 	params Params
 	r      int
 	withH  bool
+	root   History // the empty history every process starts from
 }
 
 var _ Algorithm = (*AnonRepeated)(nil)
@@ -47,7 +48,7 @@ func NewAnonRepeated(p Params) (*AnonRepeated, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &AnonRepeated{params: p, r: anonComponents(p), withH: true}, nil
+	return &AnonRepeated{params: p, r: anonComponents(p), withH: true, root: NewHistory()}, nil
 }
 
 // NewAnonOneShot builds the one-shot variant. The paper remarks (end of
@@ -57,7 +58,7 @@ func NewAnonOneShot(p Params) (*AnonRepeated, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &AnonRepeated{params: p, r: anonComponents(p), withH: false}, nil
+	return &AnonRepeated{params: p, r: anonComponents(p), withH: false, root: NewHistory()}, nil
 }
 
 // NewAnonComponents builds the algorithm with an explicit component count r
@@ -69,7 +70,7 @@ func NewAnonComponents(p Params, r int, withH bool) (*AnonRepeated, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("core: anonymous algorithm needs r ≥ 1 components, got %d", r)
 	}
-	return &AnonRepeated{params: p, r: r, withH: withH}, nil
+	return &AnonRepeated{params: p, r: r, withH: withH, root: NewHistory()}, nil
 }
 
 // anonComponents is (m+1)(n−k)+m², equivalently (m+1)(ℓ−1)+1.
@@ -115,7 +116,7 @@ func (a *AnonRepeated) Anonymous() bool { return true }
 // NewProcess implements Algorithm. Anonymity: the id argument is ignored and
 // never stored, so all processes are identically programmed.
 func (a *AnonRepeated) NewProcess(int) Process {
-	return &anonProc{alg: a}
+	return &anonProc{alg: a, his: a.root}
 }
 
 // regH is the register index of H in the repeated variant's memory spec.

@@ -1,26 +1,66 @@
 package core
 
 import (
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"setagreement/internal/shmem"
 )
 
-// FuzzHistoryAppendAt: appends never corrupt earlier entries and At agrees
-// with Values for arbitrary histories.
+// FuzzHistoryAppendAt drives one trie with a compact op string and checks
+// every history it produced against a [][]int oracle. Each byte is one op:
+// a digit appends that digit, 'v' appends the fuzzed value v, and any other
+// byte c goes back to the prefix of length int(c) mod (len+1) of the current
+// history. So "12a1" appends 1 and 2, goes back to the prefix of length
+// 'a' mod 3 = 1 and appends 1 again.
 func FuzzHistoryAppendAt(f *testing.F) {
-	f.Add(0, 1, -5)
-	f.Add(1<<30, -(1 << 30), 0)
-	f.Fuzz(func(t *testing.T, a, b, c int) {
-		h := History("").Append(a).Append(b).Append(c)
-		if h.Len() != 3 {
-			t.Fatalf("Len = %d", h.Len())
+	f.Add("0121a0v12~2", -5)
+	f.Add("vvv~v1v", 1<<30)
+	f.Fuzz(func(t *testing.T, ops string, v int) {
+		if len(ops) > 256 {
+			ops = ops[:256]
 		}
-		vals := h.Values()
-		want := []int{a, b, c}
-		for i, w := range want {
-			if vals[i] != w || h.At(i+1) != w {
-				t.Fatalf("entry %d: %d/%d, want %d", i, vals[i], h.At(i+1), w)
+		path := []History{NewHistory()} // path[j] holds cur[:j]
+		var cur []int
+		var hs []History
+		var oracle [][]int
+		for i := 0; i < len(ops); i++ {
+			c := ops[i]
+			if c != 'v' && (c < '0' || c > '9') {
+				keep := int(c) % len(path)
+				path, cur = path[:keep+1], cur[:keep]
+				continue
+			}
+			val := v
+			if c != 'v' {
+				val = int(c - '0')
+			}
+			path = append(path, path[len(path)-1].Append(val))
+			cur = append(cur, val)
+			hs, oracle = append(hs, path[len(path)-1]), append(oracle, slices.Clone(cur))
+		}
+		for i, h := range hs {
+			want := oracle[i]
+			if h.Len() != len(want) {
+				t.Fatalf("history %d: Len = %d, want %d", i, h.Len(), len(want))
+			}
+			got := h.Values()
+			strs := make([]string, len(want))
+			for j, w := range want {
+				if got[j] != w || h.At(j+1) != w {
+					t.Fatalf("history %d entry %d: Values %d, At %d, want %d", i, j, got[j], h.At(j+1), w)
+				}
+				strs[j] = strconv.Itoa(w)
+			}
+			if s := h.String(); s != strings.Join(strs, ",") {
+				t.Fatalf("history %d: String = %q, want %q", i, s, strings.Join(strs, ","))
+			}
+			for j, h2 := range hs[:i] {
+				if (h == h2) != slices.Equal(want, oracle[j]) {
+					t.Fatalf("histories %d and %d: == is %v for %v and %v", i, j, h == h2, want, oracle[j])
+				}
 			}
 		}
 	})

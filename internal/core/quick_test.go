@@ -14,7 +14,7 @@ import (
 // TestQuickHistoryRoundTrip: any int sequence survives the History encoding.
 func TestQuickHistoryRoundTrip(t *testing.T) {
 	prop := func(vals []int) bool {
-		var h core.History
+		h := core.NewHistory()
 		for _, v := range vals {
 			h = h.Append(v)
 		}
@@ -34,10 +34,12 @@ func TestQuickHistoryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickHistoryAppendIsInjective: distinct sequences encode distinctly.
+// TestQuickHistoryAppendIsInjective: grown from one root, two sequences are
+// the same History exactly when they hold the same values.
 func TestQuickHistoryAppendIsInjective(t *testing.T) {
 	prop := func(a, b []int8) bool {
-		ha, hb := core.History(""), core.History("")
+		root := core.NewHistory()
+		ha, hb := root, root
 		for _, v := range a {
 			ha = ha.Append(int(v))
 		}

@@ -18,7 +18,7 @@ type RTuple struct {
 
 // String renders the tuple as "(v,pid,t,his)".
 func (t RTuple) String() string {
-	return fmt.Sprintf("(%d,p%d,t%d,%q)", t.Val, t.ID, t.T, string(t.His))
+	return fmt.Sprintf("(%d,p%d,t%d,%q)", t.Val, t.ID, t.T, t.His.String())
 }
 
 // Repeated is the m-obstruction-free repeated k-set agreement algorithm of
@@ -27,6 +27,7 @@ func (t RTuple) String() string {
 type Repeated struct {
 	params Params
 	r      int
+	root   History // the empty history every process starts from
 }
 
 var _ Algorithm = (*Repeated)(nil)
@@ -36,7 +37,7 @@ func NewRepeated(p Params) (*Repeated, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Repeated{params: p, r: p.N + 2*p.M - p.K}, nil
+	return &Repeated{params: p, r: p.N + 2*p.M - p.K, root: NewHistory()}, nil
 }
 
 // NewRepeatedComponents builds the algorithm with an explicit component
@@ -49,7 +50,7 @@ func NewRepeatedComponents(p Params, r int) (*Repeated, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("core: repeated needs r ≥ 1 components, got %d", r)
 	}
-	return &Repeated{params: p, r: r}, nil
+	return &Repeated{params: p, r: r, root: NewHistory()}, nil
 }
 
 // Name implements Algorithm.
@@ -73,7 +74,7 @@ func (a *Repeated) Anonymous() bool { return false }
 // NewProcess implements Algorithm. The returned process owns the persistent
 // local variables i, t and history of the pseudocode.
 func (a *Repeated) NewProcess(id int) Process {
-	p := &repeatedProc{alg: a, id: id}
+	p := &repeatedProc{alg: a, id: id, his: a.root}
 	// The is-a-t-tuple predicate reads the live attempt's instance through p,
 	// so one closure serves every Propose of the process instead of costing
 	// an allocation per call.

@@ -175,7 +175,7 @@ func TestRepeatedShortcutAdoptsHigherInstanceHistory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRepeated: %v", err)
 	}
-	his := HistoryOf(42, 43)
+	his := alg.root.Append(42).Append(43)
 	mem := newScriptedMem(t,
 		pairs(RTuple{Val: 99, ID: 2, T: 3, His: his}, nil, nil, nil),
 	)
@@ -202,20 +202,21 @@ func TestRepeatedStaleTupleBlocksDecision(t *testing.T) {
 		t.Fatalf("NewRepeated: %v", err)
 	}
 	proc := alg.NewProcess(0)
-	stale := RTuple{Val: 9, ID: 2, T: 1, His: ""}
+	stale := RTuple{Val: 9, ID: 2, T: 1, His: alg.root}
 	// First Propose: decide instance 1 normally (all own tuples).
+	own := RTuple{Val: 5, ID: 0, T: 1, His: alg.root}
 	mem1 := newScriptedMem(t,
-		pairs(RTuple{Val: 5, ID: 0, T: 1, His: ""}, nil, nil, nil),
-		pairs(RTuple{Val: 5, ID: 0, T: 1, His: ""}, RTuple{Val: 5, ID: 0, T: 1, His: ""}, nil, nil),
-		pairs(RTuple{Val: 5, ID: 0, T: 1, His: ""}, RTuple{Val: 5, ID: 0, T: 1, His: ""}, RTuple{Val: 5, ID: 0, T: 1, His: ""}, nil),
-		pairs(RTuple{Val: 5, ID: 0, T: 1, His: ""}, RTuple{Val: 5, ID: 0, T: 1, His: ""}, RTuple{Val: 5, ID: 0, T: 1, His: ""}, RTuple{Val: 5, ID: 0, T: 1, His: ""}),
+		pairs(own, nil, nil, nil),
+		pairs(own, own, nil, nil),
+		pairs(own, own, own, nil),
+		pairs(own, own, own, own),
 	)
 	if got := proc.Propose(mem1, 5); got != 5 {
 		t.Fatalf("instance 1 decided %d", got)
 	}
 	// Second Propose: one stale t=1 tuple blocks; once it is gone,
 	// decide.
-	t2 := RTuple{Val: 7, ID: 0, T: 2, His: HistoryOf(5)}
+	t2 := RTuple{Val: 7, ID: 0, T: 2, His: alg.root.Append(5)}
 	mem2 := newScriptedMem(t,
 		pairs(t2, t2, t2, stale), // stale blocks → advance
 		pairs(t2, t2, t2, t2),    // clean → decide
@@ -229,11 +230,13 @@ func TestRepeatedStaleTupleBlocksDecision(t *testing.T) {
 }
 
 func TestAnonymousHelpers(t *testing.T) {
+	root := NewHistory()
+	h1, h2 := root.Append(1), root.Append(2)
 	s := []shmem.Value{
-		ATuple{Val: 5, T: 2, His: "1"},
-		ATuple{Val: 5, T: 2, His: "2"}, // same value, different history
-		ATuple{Val: 9, T: 2, His: "1"},
-		ATuple{Val: 5, T: 2, His: "1"},
+		ATuple{Val: 5, T: 2, His: h1},
+		ATuple{Val: 5, T: 2, His: h2}, // same value, different history
+		ATuple{Val: 9, T: 2, His: h1},
+		ATuple{Val: 5, T: 2, His: h1},
 	}
 	if !allTTuples(s, 2) || allTTuples(s, 1) {
 		t.Fatal("allTTuples misclassified")
@@ -271,10 +274,10 @@ func TestAnonymousAdoptsDominantValue(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewAnonOneShot: %v", err)
 	}
-	other := ATuple{Val: 7, T: 1, His: ""}
+	other := ATuple{Val: 7, T: 1, His: alg.root}
 	mem := newScriptedMem(t,
 		// 4 copies of 7 (≥ ℓ=3), my 1 appears once (< ℓ) → adopt 7.
-		pairs(ATuple{Val: 1, T: 1}, other, other, other, other),
+		pairs(ATuple{Val: 1, T: 1, His: alg.root}, other, other, other, other),
 		// Now everything is 7-tuples: 1 distinct ≤ m → decide 7.
 		pairs(other, other, other, other, other),
 	)
@@ -285,7 +288,7 @@ func TestAnonymousAdoptsDominantValue(t *testing.T) {
 	if mem.updates[1].comp != 1 {
 		t.Fatalf("i did not advance: updates %v", mem.updates)
 	}
-	if mem.updates[1].val != (ATuple{Val: 7, T: 1, His: ""}) {
+	if mem.updates[1].val != (ATuple{Val: 7, T: 1, His: alg.root}) {
 		t.Fatalf("second update %v, want adopted pref 7", mem.updates[1].val)
 	}
 }
@@ -301,7 +304,7 @@ func TestAnonymousHRegisterShortcut(t *testing.T) {
 	mem := newScriptedMem(t) // any Scan call would fail the test
 	// H is kept at a long history by (modeled) fast processes, surviving
 	// this process's own line-9 writes.
-	mem.readOverride = map[int]shmem.Value{0: HistoryOf(11, 12)}
+	mem.readOverride = map[int]shmem.Value{0: alg.root.Append(11).Append(12)}
 	proc := alg.NewProcess(-1)
 	if got := proc.Propose(mem, 1); got != 11 {
 		t.Fatalf("instance 1 decided %d, want 11 from H", got)

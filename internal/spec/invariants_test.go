@@ -112,7 +112,7 @@ func TestInvariantCheckersDetectViolations(t *testing.T) {
 
 func TestStoredValidityDetectsForeignValue(t *testing.T) {
 	bad := func(p *sim.Proc) {
-		p.Update(0, 0, core.RTuple{Val: 999999, ID: 0, T: 1, His: ""})
+		p.Update(0, 0, core.RTuple{Val: 999999, ID: 0, T: 1})
 	}
 	r, err := sim.NewRunner(shmem.Spec{Snaps: []int{2}},
 		[]sim.ProcSpec{{ID: 0, Run: bad}})
@@ -145,9 +145,10 @@ func TestStoredValidityDetectsCorruptHistory(t *testing.T) {
 }
 
 func TestLemma12DetectsConflictingTuples(t *testing.T) {
+	root := core.NewHistory()
 	bad := func(p *sim.Proc) {
-		p.Update(0, 0, core.RTuple{Val: 1, ID: 3, T: 2, His: "x"})
-		p.Update(0, 1, core.RTuple{Val: 1, ID: 3, T: 2, His: "y"}) // history differs
+		p.Update(0, 0, core.RTuple{Val: 1, ID: 3, T: 2, His: root.Append(1)})
+		p.Update(0, 1, core.RTuple{Val: 1, ID: 3, T: 2, His: root.Append(2)}) // history differs
 	}
 	r, err := sim.NewRunner(shmem.Spec{Snaps: []int{2}},
 		[]sim.ProcSpec{{ID: 0, Run: bad}})

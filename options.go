@@ -52,8 +52,12 @@ func (b MemoryBackend) internal() shmem.Backend {
 type SnapshotImpl int
 
 const (
-	// SnapshotAtomic uses a mutex-linearized snapshot object (default):
-	// one lock acquisition per operation.
+	// SnapshotAtomic (the default) uses the memory backend's own snapshot
+	// primitive, not a register construction. On BackendLockFree each
+	// snapshot object is one atomic pointer to an immutable view: an
+	// Update publishes a copy-on-write view with one CAS, retried if a
+	// concurrent Update won, and a Scan is one load. Only BackendLocked
+	// takes a mutex, once per operation.
 	SnapshotAtomic SnapshotImpl = iota
 	// SnapshotWaitFree uses the wait-free register construction with
 	// embedded scans (r registers for r components).

@@ -226,6 +226,37 @@ func TestRepeatedSequenceAgreement(t *testing.T) {
 	}
 }
 
+// TestRepeatedFollowerFarBehind: a follower 65,536 instances behind the
+// leader adopts the leader's history and decides every leader value, in
+// order. Each catch-up Propose reads one entry of a 65,536-entry history,
+// so the test stays fast only while that read is cheap at any depth.
+func TestRepeatedFollowerFarBehind(t *testing.T) {
+	const depth = 1 << 16
+	r, err := setagreement.NewRepeated[int](2, 1)
+	if err != nil {
+		t.Fatalf("NewRepeated: %v", err)
+	}
+	leader, err := r.Proc(0)
+	if err != nil {
+		t.Fatalf("Proc(0): %v", err)
+	}
+	follower, err := r.Proc(1)
+	if err != nil {
+		t.Fatalf("Proc(1): %v", err)
+	}
+	ctx := context.Background()
+	for i := 0; i < depth; i++ {
+		if out, err := leader.Propose(ctx, i); err != nil || out != i {
+			t.Fatalf("solo leader instance %d decided %d, %v", i+1, out, err)
+		}
+	}
+	for i := 0; i < depth; i++ {
+		if out, err := follower.Propose(ctx, -1); err != nil || out != i {
+			t.Fatalf("follower instance %d decided %d, %v; the leader decided %d", i+1, out, err, i)
+		}
+	}
+}
+
 func TestAnonymousSessions(t *testing.T) {
 	const n, k = 5, 2
 	a, err := setagreement.NewAnonymous[int](n, k)
