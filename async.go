@@ -91,7 +91,7 @@ func (h *Handle[T]) ProposeAsync(ctx context.Context, v T) *Future[T] {
 	fut := newFuture[T]()
 	ap := &asyncProposal[T]{}
 	if h.prepareAsync(ctx, fut, ap, v) {
-		h.rt.eng.get().Submit(ap)
+		fut.eng.Submit(ap)
 	}
 	return fut
 }
@@ -100,8 +100,9 @@ func (h *Handle[T]) ProposeAsync(ctx context.Context, v T) *Future[T] {
 // points (SubmitAll, Arena.SubmitBatch) share: claim the handle, arm the
 // guard for engine-driven stepping and fill ap with the proposal to hand
 // the engine. fut and ap are caller-allocated so batches can slab-allocate
-// both. On an immediate lifecycle failure the future is resolved with the
-// error and prepareAsync reports false: nothing reaches the engine.
+// both. On success fut records the handle's engine, the one the caller
+// submits ap to. On an immediate lifecycle failure the future is resolved
+// with the error and prepareAsync reports false: nothing reaches the engine.
 func (h *Handle[T]) prepareAsync(ctx context.Context, fut *Future[T], ap *asyncProposal[T], v T) bool {
 	// The span opens before the claim so even immediate lifecycle failures
 	// leave a complete trace; on the disabled path StartSpan returns the
@@ -125,6 +126,7 @@ func (h *Handle[T]) prepareAsync(ctx context.Context, fut *Future[T], ap *asyncP
 		}
 	}
 	*ap = asyncProposal[T]{h: h, fut: fut, ctx: ctx, val: v, span: sp}
+	fut.eng = h.rt.eng.get()
 	return true
 }
 

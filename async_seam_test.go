@@ -183,8 +183,18 @@ func TestAsyncCancelParkedUndeliveredWake(t *testing.T) {
 
 	fut := h.ProposeAsync(ctx, 41)
 	awaitEngineParked(t, r, 1)
-	if reg, pend := sw.counts(); reg != 1 || pend != 1 {
-		t.Fatalf("park registered %d wakes (%d pending), want 1/1 through the swallowing notifier", reg, pend)
+	// The engine counts a park when the task enters its parked set, before
+	// it registers the wake: poll for the registration.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		reg, pend := sw.counts()
+		if reg == 1 && pend == 1 {
+			break
+		}
+		if reg > 1 || pend > 1 || time.Now().After(deadline) {
+			t.Fatalf("park registered %d wakes (%d pending), want 1/1 through the swallowing notifier", reg, pend)
+		}
+		goruntime.Gosched()
 	}
 
 	// The wake publish: the real memory's version advances, but the
@@ -212,7 +222,7 @@ func TestAsyncCancelParkedUndeliveredWake(t *testing.T) {
 
 	// The engine revokes the swallowed registration as it resumes the
 	// cancelled task: no waiter may leak even when the wake never fired.
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		if _, pend := sw.counts(); pend == 0 {
 			break
@@ -223,7 +233,5 @@ func TestAsyncCancelParkedUndeliveredWake(t *testing.T) {
 		}
 		goruntime.Gosched()
 	}
-	if e := r.rt.eng.peek(); e.InFlight() != 0 {
-		t.Fatalf("engine InFlight = %d after resolution", e.InFlight())
-	}
+	awaitEngineIdle(t, r)
 }

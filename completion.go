@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"sync"
+
+	"setagreement/internal/engine"
 )
 
 // ErrCompletionQueueClosed is returned by CompletionQueue.Next once the
@@ -51,6 +53,9 @@ type CompletionQueue[T comparable] struct {
 	head    int
 	closed  bool
 	pending int
+	// eng is the engine of the latest registered future that reached one:
+	// the engine a collector blocked in Next helps.
+	eng *engine.Engine
 
 	sig      chan struct{} // capacity 1: "buf may be non-empty"
 	closedCh chan struct{} // closed by Close, wakes every blocked Next
@@ -80,6 +85,9 @@ func (q *CompletionQueue[T]) register(f *Future[T], r *cqReg[T]) error {
 		return ErrCompletionQueueClosed
 	}
 	q.pending++
+	if f.eng != nil {
+		q.eng = f.eng
+	}
 	q.mu.Unlock()
 	if !f.reg.CompareAndSwap(nil, r) {
 		q.mu.Lock()
@@ -119,6 +127,13 @@ func (q *CompletionQueue[T]) push(c Completion[T]) {
 // (ErrCompletionQueueClosed). A nil ctx waits indefinitely. Completions
 // already enqueued when Close is called are still returned, so a collector
 // loop naturally drains the tail before seeing ErrCompletionQueueClosed.
+//
+// While it waits, Next runs the queued proposals of the engine its latest
+// registered future was submitted to, one at a time on the calling
+// goroutine, and blocks only when that engine's run queue is empty: the
+// collector lends the engine its processor rather than wait for a drain
+// goroutine to be scheduled. ctx is checked between proposals; a proposal
+// Next is running is not interrupted by ctx.
 func (q *CompletionQueue[T]) Next(ctx context.Context) (Completion[T], error) {
 	var ctxDone <-chan struct{}
 	if ctx != nil {
@@ -138,10 +153,20 @@ func (q *CompletionQueue[T]) Next(ctx context.Context) (Completion[T], error) {
 			q.mu.Unlock()
 			return c, nil
 		}
-		closed := q.closed
+		closed, eng := q.closed, q.eng
 		q.mu.Unlock()
 		if closed {
 			return Completion[T]{}, ErrCompletionQueueClosed
+		}
+		if eng != nil {
+			select {
+			case <-ctxDone:
+				return Completion[T]{}, ctx.Err()
+			default:
+			}
+			if eng.Help() {
+				continue
+			}
 		}
 		select {
 		case <-ctxDone:

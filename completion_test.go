@@ -9,6 +9,10 @@ package setagreement_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,5 +252,197 @@ func TestCompletionQueueExactlyOnce(t *testing.T) {
 	defer cancelProbe()
 	if _, err := q.Next(probe); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Next after exactly-once drain = %v, want deadline (no duplicate delivery)", err)
+	}
+}
+
+// blockingCodec is the identity codec on int, except that encoding the
+// sentinel signals entered and blocks until release is closed: an engine
+// worker that starts the sentinel's proposal is held there.
+type blockingCodec struct {
+	sentinel int
+	once     sync.Once
+	entered  chan struct{}
+	release  chan struct{}
+}
+
+func (c *blockingCodec) Encode(v int) int {
+	if v == c.sentinel {
+		c.once.Do(func() { close(c.entered) })
+		<-c.release
+	}
+	return v
+}
+
+func (c *blockingCodec) Decode(code int) (int, error) { return code, nil }
+
+// TestCompletionQueueNextHelps: a collector blocked in Next runs its
+// engine's queued proposals itself. The one-worker engine's only drain is
+// held inside the sentinel's Encode, so nothing but the collector can
+// advance the K proposals queued behind it; Next must still return all K
+// completions while the sentinel stays blocked.
+func TestCompletionQueueNextHelps(t *testing.T) {
+	const k = 16
+	const sentinel = -1
+	codec := &blockingCodec{sentinel: sentinel, entered: make(chan struct{}), release: make(chan struct{})}
+	ar, err := sa.NewArena[int](2, 1, sa.ArenaOneShot(),
+		sa.WithObjectOptions(sa.WithEngine(1), sa.WithCodec[int](codec)))
+	if err != nil {
+		t.Fatalf("NewArena: %v", err)
+	}
+	hs, err := ar.Object("sentinel").Proc(0)
+	if err != nil {
+		t.Fatalf("Proc: %v", err)
+	}
+	held := hs.ProposeAsync(context.Background(), sentinel)
+	defer func() {
+		close(codec.release)
+		if v, err := held.Value(); err != nil || v != sentinel {
+			t.Errorf("sentinel resolved (%d, %v), want (%d, nil)", v, err, sentinel)
+		}
+	}()
+	<-codec.entered
+
+	q := sa.NewCompletionQueue[int]()
+	defer q.Close()
+	for i := 0; i < k; i++ {
+		h, err := ar.Object(fmt.Sprintf("key-%d", i)).Proc(0)
+		if err != nil {
+			t.Fatalf("Proc(key-%d): %v", i, err)
+		}
+		if err := q.Register(h.ProposeAsync(context.Background(), i), i); err != nil {
+			t.Fatalf("Register(%d): %v", i, err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	seen := make(map[int]bool, k)
+	for n := 0; n < k; n++ {
+		c, err := q.Next(ctx)
+		if err != nil {
+			t.Fatalf("Next #%d with the only engine worker held: %v", n, err)
+		}
+		if seen[c.Tag] {
+			t.Fatalf("tag %d delivered twice", c.Tag)
+		}
+		seen[c.Tag] = true
+		if v, err := c.Value(); err != nil || v != c.Tag {
+			t.Fatalf("completion %d resolved (%d, %v), want its own solo value", c.Tag, v, err)
+		}
+	}
+	if held.Resolved() {
+		t.Fatal("the sentinel resolved while its Encode was still blocked")
+	}
+}
+
+// TestCompletionQueueHelpersExactlyOnce: four collectors call Next on one
+// queue concurrently — each also helping the engine — while 64 handles
+// (8 repeated objects × 8 contending processes) run 64 proposals each, a
+// handle's next proposal submitted by whichever collector received its
+// last. Every tag is delivered exactly once, every instance agrees on one
+// proposed value, and the engine ends with nothing in flight.
+func TestCompletionQueueHelpersExactlyOnce(t *testing.T) {
+	const (
+		objects    = 8
+		procs      = 8
+		handles    = objects * procs
+		rounds     = 64
+		total      = handles * rounds
+		collectors = 4
+	)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ar, err := sa.NewArena[int](procs, 1, sa.WithObjectOptions(sa.WithEngine(1)))
+	if err != nil {
+		t.Fatalf("NewArena: %v", err)
+	}
+	hs := make([]*sa.Handle[int], handles)
+	for i := range hs {
+		if hs[i], err = ar.Object(fmt.Sprintf("obj-%d", i/procs)).Proc(i % procs); err != nil {
+			t.Fatalf("Proc: %v", err)
+		}
+	}
+	q := sa.NewCompletionQueue[int]()
+	defer q.Close()
+	// Tag round*handles+h is handle h's proposal in that round, and the
+	// value it proposes: tag/procs names the object instance.
+	submit := func(tag int) error {
+		return q.Register(hs[tag%handles].ProposeAsync(ctx, tag), tag)
+	}
+	for h := 0; h < handles; h++ {
+		if err := submit(h); err != nil {
+			t.Fatalf("submit %d: %v", h, err)
+		}
+	}
+
+	var (
+		delivered [total]atomic.Int32
+		got       atomic.Int32
+		mu        sync.Mutex
+		decided   = make(map[int]int) // instance → decided value
+		wg        sync.WaitGroup
+	)
+	for c := 0; c < collectors; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				comp, err := q.Next(ctx)
+				if errors.Is(err, sa.ErrCompletionQueueClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("Next: %v", err)
+					return
+				}
+				tag := comp.Tag
+				delivered[tag].Add(1)
+				v, err := comp.Value()
+				if err != nil {
+					t.Errorf("proposal %d: %v", tag, err)
+					return
+				}
+				if v/procs != tag/procs {
+					t.Errorf("proposal %d decided %d, proposed by none of its instance", tag, v)
+				}
+				mu.Lock()
+				if d, ok := decided[tag/procs]; !ok {
+					decided[tag/procs] = v
+				} else if d != v {
+					t.Errorf("instance %d decided both %d and %d", tag/procs, d, v)
+				}
+				mu.Unlock()
+				if next := tag + handles; next < total {
+					if err := submit(next); err != nil {
+						t.Errorf("submit %d: %v", next, err)
+						return
+					}
+				}
+				if got.Add(1) == total {
+					q.Close()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for tag := range delivered {
+		if n := delivered[tag].Load(); n != 1 {
+			t.Fatalf("tag %d delivered %d times, want exactly once", tag, n)
+		}
+	}
+	// The engine retires a task just after its Advance resolves the future.
+	deadline := time.Now().Add(10 * time.Second)
+	for ar.Stats().AsyncInFlight != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("AsyncInFlight = %d after every completion, want 0", ar.Stats().AsyncInFlight)
+		}
+		runtime.Gosched()
+	}
+	for _, h := range hs {
+		if err := h.Release(); err != nil {
+			t.Fatalf("Release: %v", err)
+		}
 	}
 }

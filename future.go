@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"setagreement/internal/engine"
 	"setagreement/obs"
 )
 
@@ -38,6 +39,12 @@ type Future[T comparable] struct {
 	// disabled). Written by the submit path before resolve can run, read
 	// by deliver — the exactly-once delivery CAS sequences the two.
 	span *obs.Span
+
+	// eng is the engine the proposal was submitted to, nil for a future
+	// resolved before reaching one. Written by the submit path before the
+	// future is returned; a CompletionQueue the future registers with helps
+	// this engine while its collector waits.
+	eng *engine.Engine
 }
 
 func newFuture[T comparable]() *Future[T] {

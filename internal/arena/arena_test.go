@@ -125,6 +125,41 @@ func TestPoolCapBoundsFreeList(t *testing.T) {
 	}
 }
 
+// countingResetter is a Mem whose Reset only counts its calls.
+type countingResetter struct {
+	shmem.Mem
+	resets int
+}
+
+func (c *countingResetter) Reset() { c.resets++ }
+
+// TestPoolPutResetsOnlyRetained: Put resets a runtime only when the free
+// list has room for it — a runtime the full pool drops is never reset.
+func TestPoolPutResetsOnlyRetained(t *testing.T) {
+	p := Pool{Cap: 1}
+	mem, err := register.LockedBackend.New(shmem.Spec{Regs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	room := &countingResetter{Mem: mem}
+	if !p.Put(Runtime{Mem: room}) {
+		t.Fatal("Put into a pool with room dropped the runtime")
+	}
+	if room.resets != 1 {
+		t.Fatalf("Put into a pool with room called Reset %d times, want 1", room.resets)
+	}
+	full := &countingResetter{Mem: mem}
+	if p.Put(Runtime{Mem: full}) {
+		t.Fatal("Put into a full pool retained the runtime")
+	}
+	if full.resets != 0 {
+		t.Fatalf("Put into a full pool called Reset %d times, want 0", full.resets)
+	}
+	if s := p.Stats(); s.Puts != 1 || s.Drops != 1 {
+		t.Fatalf("stats = %+v", s)
+	}
+}
+
 func TestPoolConcurrent(t *testing.T) {
 	var p Pool
 	spec := shmem.Spec{Regs: 1, Snaps: []int{2}}

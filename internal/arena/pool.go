@@ -69,22 +69,31 @@ func (p *Pool) Get() (Runtime, bool) {
 // Put resets rt's memory and returns it to the pool. It reports whether the
 // runtime was actually retained: false means the memory lacks the Resetter
 // capability, or the free list is at capacity, and the runtime was dropped.
-// The caller must guarantee the memory is quiescent — no operation in
-// flight and none possible afterwards (the arena guarantees this by
-// evicting only objects whose handles are all released).
+// A runtime the full pool drops is not reset first. The caller must
+// guarantee the memory is quiescent — no operation in flight and none
+// possible afterwards (the arena guarantees this by evicting only objects
+// whose handles are all released).
 func (p *Pool) Put(rt Runtime) bool {
 	r, ok := rt.Mem.(shmem.Resetter)
 	if !ok {
 		p.drops.Add(1)
 		return false
 	}
-	cap := p.Cap
-	if cap <= 0 {
-		cap = DefaultCap
+	limit := p.Cap
+	if limit <= 0 {
+		limit = DefaultCap
+	}
+	p.mu.Lock()
+	full := len(p.free) >= limit
+	p.mu.Unlock()
+	if full {
+		p.drops.Add(1)
+		return false
 	}
 	r.Reset()
 	p.mu.Lock()
-	if len(p.free) >= cap {
+	// Re-checked: concurrent Puts may have filled the list during Reset.
+	if len(p.free) >= limit {
 		p.mu.Unlock()
 		p.drops.Add(1)
 		return false
@@ -100,7 +109,7 @@ type PoolStats struct {
 	Hits   int64 // Gets served from the free list
 	Misses int64 // Gets that required a fresh allocation
 	Puts   int64 // runtimes recycled into the pool
-	Drops  int64 // runtimes dropped for lack of Reset support
+	Drops  int64 // runtimes dropped: no Reset support, or a full free list
 }
 
 // Stats returns the pool counters. Safe concurrently with Get/Put.

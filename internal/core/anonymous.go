@@ -212,7 +212,7 @@ func (a *anonAttempt) Step(mem shmem.Mem) (int, bool) {
 
 	// lines 23-26: decide on the most frequent value if at most m
 	// distinct entries and every entry is a t-tuple.
-	if allTTuples(s, t) && distinctCount(s) <= m {
+	if allTTuples(s, t) && distinctAtMost(s, m) {
 		w := mostFrequentValue(s)
 		p.his = p.his.Append(w)
 		a.out, a.done = w, true

@@ -82,9 +82,8 @@ func FuzzScanHelpers(f *testing.F) {
 				vec[j] = Pair{Val: v2, ID: id2}
 			}
 		}
-		d := distinctCount(vec)
-		if d < 1 || d > size {
-			t.Fatalf("distinctCount = %d of %d", d, size)
+		if distinctAtMost(vec, 0) || !distinctAtMost(vec, size) {
+			t.Fatalf("distinctAtMost puts %d distinct entries outside [1, %d]", distinctCountMap(vec), size)
 		}
 		if j, ok := minDupIndex(vec); ok {
 			if vec[j] == nil {

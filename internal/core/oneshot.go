@@ -123,7 +123,7 @@ func (a *oneShotAttempt) Step(mem shmem.Mem) (int, bool) {
 
 	// lines 9-10: if |{s[j]}| ≤ m and no component is ⊥, output the
 	// value of the first duplicated pair and halt.
-	if !hasNil(s) && distinctCount(s) <= m {
+	if !hasNil(s) && distinctAtMost(s, m) {
 		if j1, ok := minDupIndex(s); ok {
 			return s[j1].(Pair).Val, true
 		}

@@ -202,5 +202,5 @@ func (p *repeatedProc) canDecide(s []shmem.Value, t, m int) bool {
 			return false
 		}
 	}
-	return distinctCount(s) <= m
+	return distinctAtMost(s, m)
 }

@@ -17,12 +17,13 @@ import "setagreement/internal/shmem"
 // interface comparisons, well below the constant cost of building a map.
 const smallScanMax = 64
 
-// distinctCount returns |{s[j] : 0 ≤ j < r}|, the number of distinct entries
-// in the scan, counting ⊥ as one entry if present (the pseudocode's set
-// includes whatever the components hold).
-func distinctCount(s []shmem.Value) int {
+// distinctAtMost reports |{s[j] : 0 ≤ j < r}| ≤ m, counting ⊥ as one entry
+// if present (the pseudocode's set includes whatever the components hold).
+// It stops at the (m+1)-th distinct entry, so a scan that fails the test
+// costs only the comparisons up to there.
+func distinctAtMost(s []shmem.Value, m int) bool {
 	if len(s) > smallScanMax {
-		return distinctCountMap(s)
+		return distinctCountMap(s) <= m
 	}
 	n := 0
 	for j, v := range s {
@@ -34,10 +35,12 @@ func distinctCount(s []shmem.Value) int {
 			}
 		}
 		if !seen {
-			n++
+			if n++; n > m {
+				return false
+			}
 		}
 	}
-	return n
+	return true
 }
 
 func distinctCountMap(s []shmem.Value) int {

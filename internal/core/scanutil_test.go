@@ -19,8 +19,11 @@ func TestDistinctCount(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := distinctCount(tt.give); got != tt.want {
-				t.Fatalf("distinctCount = %d, want %d", got, tt.want)
+			if !distinctAtMost(tt.give, tt.want) {
+				t.Fatalf("distinctAtMost(s, %d) = false, want true", tt.want)
+			}
+			if tt.want > 0 && distinctAtMost(tt.give, tt.want-1) {
+				t.Fatalf("distinctAtMost(s, %d) = true, want false", tt.want-1)
 			}
 		})
 	}
@@ -138,8 +141,10 @@ func TestScanHelpersMatchMapVersions(t *testing.T) {
 		return ok && p.Val%2 == 0
 	}
 	for ci, s := range scanCases() {
-		if got, want := distinctCount(s), distinctCountMap(s); got != want {
-			t.Errorf("case %d (len %d): distinctCount = %d, map version = %d", ci, len(s), got, want)
+		for m := 0; m <= len(s); m++ {
+			if got, want := distinctAtMost(s, m), distinctCountMap(s) <= m; got != want {
+				t.Errorf("case %d (len %d): distinctAtMost(s, %d) = %v, map version = %v", ci, len(s), m, got, want)
+			}
 		}
 		gi, gok := minDupIndex(s)
 		wi, wok := minDupIndexMap(s)
@@ -160,7 +165,7 @@ func TestScanHelpersSmallNoAlloc(t *testing.T) {
 	s := []shmem.Value{Pair{1, 1}, Pair{2, 2}, Pair{1, 1}, nil, Pair{3, 1}}
 	pred := func(v shmem.Value) bool { _, ok := v.(Pair); return ok }
 	if n := testing.AllocsPerRun(100, func() {
-		distinctCount(s)
+		distinctAtMost(s, 2)
 		hasNil(s)
 		minDupIndex(s)
 		minDupIndexWhere(s, pred)

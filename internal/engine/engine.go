@@ -8,14 +8,16 @@
 // drain goroutines being transient.
 //
 // The engine is deadlock-free by the very property the paper proves:
-// m-obstruction-freedom. A proposal a worker advances while every other
+// m-obstruction-freedom. A proposal a worker (a drain goroutine, or a
+// goroutine lending itself through Help) advances while every other
 // proposal is parked or queued is running solo, and a solo run always
 // decides — so a worker can never be stuck holding a proposal that needs
-// another queued proposal to move. Beyond m concurrently running
-// proposals the usual caveat applies, exactly as for goroutine-per-Propose
-// execution: progress then comes from the park caps (a parked proposal
-// resumes stepping after its cap even if no wakeup arrives), which bound
-// every wait just like the backoff schedule caps a blocking wait.
+// another queued proposal to move, however many workers there are. Beyond
+// m concurrently running proposals the usual caveat applies, exactly as
+// for goroutine-per-Propose execution: progress then comes from the park
+// caps (a parked proposal resumes stepping after its cap even if no wakeup
+// arrives), which bound every wait just like the backoff schedule caps a
+// blocking wait.
 //
 // The engine knows nothing about agreement, codecs or handles: a Proposal
 // is anything that can be advanced until it either finishes or asks to be
@@ -192,12 +194,21 @@ type task struct {
 	stopCtx    func() bool // context watch, nil when none
 }
 
+// yieldEvery is how many tasks the engine runs, counted engine-wide across
+// drains and helpers, between two scheduling points. Park caps fire on the
+// cap wheel's time.AfterFunc goroutine and through context.AfterFunc; when
+// every processor is busy running tasks and never enters the scheduler,
+// those goroutines wait for a processor, and so do the parks they end.
+const yieldEvery = 64
+
 // Engine multiplexes proposals over at most `workers` concurrent drain
 // goroutines. The goroutines are transient: one is spawned when work
 // arrives and none is free, and it exits when the run queue is empty — so
 // an engine whose proposals are all parked (or that is idle) holds zero
 // goroutines, and the configured worker count is a concurrency ceiling,
-// not a standing pool. An Engine is safe for concurrent use.
+// not a standing pool. Goroutines that call Help run queued tasks too,
+// beside the drains and outside their ceiling. An Engine is safe for
+// concurrent use.
 type Engine struct {
 	workers int
 
@@ -209,6 +220,7 @@ type Engine struct {
 
 	inFlight atomic.Int64
 	wg       sync.WaitGroup
+	ran      atomic.Uint64 // tasks run, for the yieldEvery scheduling point
 
 	caps capWheel
 
@@ -220,6 +232,10 @@ type Engine struct {
 	// parkHook, when non-nil, is called at each boundary of the park
 	// protocol (see ParkStage). Test seam only; set before any Submit.
 	parkHook func(ParkStage)
+
+	// yieldHook, when non-nil, is called at each yieldEvery scheduling
+	// point. Test seam only; set before any Submit.
+	yieldHook func()
 }
 
 // ParkStage identifies a boundary inside the park protocol at which a
@@ -267,6 +283,11 @@ func (s ParkStage) String() string {
 // every park. It must be installed before proposals are submitted and the
 // hook must be safe to call from drain goroutines. Passing nil removes it.
 func (e *Engine) SetParkHook(fn func(ParkStage)) { e.parkHook = fn }
+
+// SetYieldHook installs a test seam invoked at each scheduling point the
+// engine takes after every yieldEvery tasks. Like SetParkHook it must be
+// installed before proposals are submitted. Passing nil removes it.
+func (e *Engine) SetYieldHook(fn func()) { e.yieldHook = fn }
 
 // SetObserver installs the engine's lifecycle observer. Like SetParkHook
 // it must be installed before proposals are submitted; the publisher of
@@ -488,8 +509,48 @@ func (e *Engine) drainLoop(t *task) {
 	}
 }
 
-// run advances one dequeued task until it finishes or parks.
+// Help runs the task at the head of the run queue on the calling goroutine
+// and reports whether there was one: false when the queue is empty or the
+// engine is closed. It is how a goroutine that waits for the engine's
+// results lends the engine its processor instead of waiting for a drain to
+// be scheduled. The helper takes no worker slot, so drains still spawn for
+// new work up to the ceiling; Close waits for a Help in progress, as it
+// waits for the drains. A batch descriptor at the head is expanded as a
+// drain would, and the helper runs its first proposal.
+func (e *Engine) Help() bool {
+	e.mu.Lock()
+	if len(e.queue) == 0 || e.closed {
+		e.mu.Unlock()
+		return false
+	}
+	t := e.queue[0]
+	e.queue = e.queue[1:]
+	e.wg.Add(1)
+	e.mu.Unlock()
+	defer e.wg.Done()
+	if t.batch != nil {
+		if t = e.expand(t); t == nil {
+			return true
+		}
+	}
+	e.run(t)
+	return true
+}
+
+// run advances one dequeued task until it finishes or parks, then, after
+// every yieldEvery tasks the engine has run, yields the processor once.
 func (e *Engine) run(t *task) {
+	e.advance(t)
+	if e.ran.Add(1)%yieldEvery == 0 {
+		if e.yieldHook != nil {
+			e.yieldHook()
+		}
+		runtime.Gosched()
+	}
+}
+
+// advance runs one task's Advance and parks or retires it.
+func (e *Engine) advance(t *task) {
 	s := t.st.Load()
 	w := Wake{Reason: WakeReason(s >> reasonShift & stMask), Pos: int(t.pos)}
 	t.st.Store(word(stRunning, 0, s>>genShift))

@@ -222,8 +222,10 @@ func WithBackoff(min, max time.Duration, window int) Option {
 	})
 }
 
-// WithEngine sets the worker count of the object's async proposal engine —
-// the concurrency ceiling for ProposeAsync proposals advancing at once.
+// WithEngine sets the worker count of the object's async proposal engine:
+// the ceiling on the engine's own drain goroutines advancing ProposeAsync
+// proposals at once. Each goroutine blocked in CompletionQueue.Next also
+// advances at most one queued proposal at a time, outside that ceiling.
 // The engine itself is created lazily at the first ProposeAsync (purely
 // synchronous users never pay for it), its drain goroutines are transient
 // (zero goroutines while every proposal is parked or the engine is idle),
