@@ -17,7 +17,9 @@ import (
 // and one history append per decision), 12 for ProposeAsync (adding the
 // future, the proposal wrapper and engine bookkeeping). The ceilings leave a
 // little slack over those measurements; raising them requires justifying the
-// regression, not just re-measuring.
+// regression, not just re-measuring. The arena lease-cycle ceiling,
+// leaseCycleAllocCeiling, sits in alloc_guard_internal_test.go, whose test
+// needs the arena's fake clock.
 const (
 	soloProposeAllocCeiling      = 10
 	soloProposeAsyncAllocCeiling = 16

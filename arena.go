@@ -32,14 +32,17 @@ import (
 // all runtimes in one arena are interchangeable.
 //
 // Lifecycle: handles claimed through an arena object support Release; a
-// released handle's process has permanently left the object. When every
-// claimed handle of an object has been released and the object has been
-// idle for the configured TTL (WithIdleTTL), a sweep evicts it — an object
-// with any live (claimed, unreleased) handle is never evicted. Sweeps run
-// incrementally during Object calls and on demand via Sweep. After
-// eviction, a retained *ArenaObject fails with ErrEvicted; fetch the key's
-// current object with Object again, which recreates it fresh (new
-// generation, all process ids claimable again).
+// released handle's process has permanently left the object, which keeps
+// the handle's counters but not the handle. When every claimed handle of
+// an object has been released and the object has been idle for the
+// configured TTL (WithIdleTTL), a sweep evicts it — an object with any live
+// (claimed, unreleased) handle is never evicted. Sweeps run incrementally
+// during Object calls and on demand via Sweep; each shard queues its
+// eviction candidates in idle order, so a sweep costs in proportion to the
+// objects it evicts, not to the objects alive. After eviction, a retained
+// *ArenaObject fails with ErrEvicted; fetch the key's current object with
+// Object again, which recreates it fresh (new generation, all process ids
+// claimable again).
 //
 // An Arena is safe for concurrent use by any number of goroutines.
 type Arena[T comparable] struct {
@@ -52,8 +55,11 @@ type Arena[T comparable] struct {
 	// set (the million-key serving shape).
 	eng *engineRef
 
-	n, k    int
-	oneShot bool
+	n, k int
+	// oneShot is the Figure 3 algorithm every object of a one-shot arena
+	// shares: it holds only the parameters, so one instance serves them all.
+	// Nil on repeated arenas, where each object owns its history trie.
+	oneShot *core.OneShot
 	ttl     time.Duration
 	opts    options
 	// codecOpt is the WithCodec option value (or nil). Codecs are resolved
@@ -67,12 +73,17 @@ type Arena[T comparable] struct {
 
 	now func() time.Time // injectable for tests
 
+	// releasedSlot marks a released handle's slot in its object's handle
+	// table: the id stays consumed, but the object no longer holds the
+	// handle.
+	releasedSlot *Handle[T]
+
 	created      atomic.Int64
 	evicted      atomic.Int64
 	handlesTotal atomic.Int64
 
 	retiredMu sync.Mutex
-	retired   retiredStats
+	retired   counterTotals
 }
 
 // arenaShard is one shard of the name→object map. The RWMutex design was
@@ -80,15 +91,84 @@ type Arena[T comparable] struct {
 // (BenchmarkShardMapReadHit in internal/arena); it also keeps eviction a
 // plain delete. nextSweep (unix nanos) rate-limits the incremental sweep:
 // the lookup hot path pays one atomic load for it, never a shared write.
+// idle queues the shard's eviction candidates (arenas without a TTL leave
+// it empty).
 type arenaShard[T comparable] struct {
 	mu        sync.RWMutex
 	objs      map[string]*ArenaObject[T]
 	nextSweep atomic.Int64
+	idle      idleQueue[T]
 }
 
-// retiredStats accumulates the instrumentation of evicted objects so
-// Arena.Stats never shrinks when objects are reclaimed.
-type retiredStats struct {
+// idleQueue is a shard's FIFO of eviction candidates. An entry is appended
+// whenever an object may have become evictable or its idle clock moved: at
+// creation, at a Release that leaves it with no live handle, and at a
+// coarse touch in Object. Each entry carries the moment it was appended,
+// so the queue is in stamp order (up to clock reads racing each other) and
+// a sweep pops exactly its expired prefix. A new entry supersedes the
+// object's older ones: push bumps the object's idleSeq, and an entry whose
+// seq is no longer current is dropped when it reaches the head. Invariant:
+// every non-dead object with no live handle has exactly one current entry,
+// stamped no later than its lastUse. mu is a leaf lock: nothing else is
+// taken while it is held.
+type idleQueue[T comparable] struct {
+	mu   sync.Mutex
+	buf  []idleEntry[T] // ring buffer, power-of-two length
+	head int
+	n    int
+}
+
+type idleEntry[T comparable] struct {
+	ao    *ArenaObject[T]
+	stamp int64 // unix nanos
+	seq   uint64
+}
+
+// push appends ao stamped at stamp, superseding its older entries.
+func (q *idleQueue[T]) push(ao *ArenaObject[T], stamp int64) {
+	q.mu.Lock()
+	if q.n == len(q.buf) {
+		buf := make([]idleEntry[T], max(16, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = buf, 0
+	}
+	ao.idleSeq++
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = idleEntry[T]{ao: ao, stamp: stamp, seq: ao.idleSeq}
+	q.n++
+	q.mu.Unlock()
+}
+
+// popExpired moves up to len(out) current entries stamped at or before
+// deadline from the head of the queue into out, dropping stale entries on
+// the way, and returns how many it moved. Popped slots are cleared, so the
+// queue never keeps an evicted object's shell alive.
+func (q *idleQueue[T]) popExpired(deadline int64, out []idleEntry[T]) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	k := 0
+	for k < len(out) && q.n > 0 {
+		e := &q.buf[q.head]
+		if e.stamp > deadline {
+			break
+		}
+		if e.seq == e.ao.idleSeq {
+			out[k] = *e
+			k++
+		}
+		*e = idleEntry[T]{}
+		q.head = (q.head + 1) & (len(q.buf) - 1)
+		q.n--
+	}
+	return k
+}
+
+// counterTotals sums instrumentation counters: an arena's evicted
+// generations, so Arena.Stats never shrinks when objects are reclaimed, or
+// one object's released handles plus — once the object is dead — its
+// memory counters frozen at eviction.
+type counterTotals struct {
 	proposes   int64
 	steps      int64
 	scans      int64
@@ -97,6 +177,39 @@ type retiredStats struct {
 	spurious   int64
 	memSteps   int64
 	casRetries int64
+}
+
+// addHandle adds one handle's counters.
+func (c *counterTotals) addHandle(s *handleStats) {
+	c.proposes += s.proposes.Load()
+	c.steps += s.steps.Load()
+	c.scans += s.scans.Load()
+	c.waitNS += s.waitNS.Load()
+	c.wakeups += s.wakeups.Load()
+	c.spurious += s.spurious.Load()
+}
+
+func (c *counterTotals) add(o *counterTotals) {
+	c.proposes += o.proposes
+	c.steps += o.steps
+	c.scans += o.scans
+	c.waitNS += o.waitNS
+	c.wakeups += o.wakeups
+	c.spurious += o.spurious
+	c.memSteps += o.memSteps
+	c.casRetries += o.casRetries
+}
+
+// memCounters reads a memory's operation and CAS-retry counters, zero
+// where the backend lacks them.
+func memCounters(mem shmem.Mem) (steps, casRetries int64) {
+	if st, ok := mem.(shmem.Stepper); ok {
+		steps = st.Steps()
+	}
+	if cr, ok := mem.(shmem.CASRetrier); ok {
+		casRetries = cr.CASRetries()
+	}
+	return steps, casRetries
 }
 
 // touchGran is the granularity of idle-clock updates on the Object hot
@@ -140,11 +253,13 @@ func WithShards(n int) ArenaOption {
 
 // WithIdleTTL enables idle-object eviction: an object all of whose handles
 // have been released becomes evictable once it has not been touched (Object
-// lookup, claim or release) for at least d. The default (0) disables
-// eviction. Idle tracking is coarse on the lookup hot path — touches are
-// recorded at d/4 granularity and the sweep compensates by waiting d plus
-// that slack — so eviction happens between d and 1.25d of true idleness,
-// and a hot key's lookups stay free of contended writes.
+// lookup or the release of its last handle) for at least d. Claiming a
+// handle is not a touch: a claimed object is never evicted, and the release
+// that frees it restarts its idle clock. The default (0) disables eviction
+// and all idle bookkeeping. Idle tracking is coarse on the lookup hot path
+// — touches are recorded at d/4 granularity and the sweep compensates by
+// waiting d plus that slack — so eviction happens between d and 1.25d of
+// true idleness, and a hot key's lookups stay free of contended writes.
 func WithIdleTTL(d time.Duration) ArenaOption {
 	return arenaOptionFunc(func(c *arenaConfig) error {
 		if d < 0 {
@@ -197,17 +312,17 @@ func NewArena[T comparable](n, k int, aopts ...ArenaOption) (*Arena[T], error) {
 		return nil, err
 	}
 	ar := &Arena[T]{
-		shards:   make([]arenaShard[T], iarena.Shards(cfg.shards)),
-		hasher:   iarena.NewHasher(),
-		eng:      &engineRef{workers: o.engineWorkers, obsv: observerFor(o.obs)},
-		n:        n,
-		k:        k,
-		oneShot:  cfg.oneShot,
-		ttl:      cfg.ttl,
-		opts:     o,
-		codecOpt: o.codec,
-		impl:     o.impl.internal(),
-		now:      time.Now,
+		shards:       make([]arenaShard[T], iarena.Shards(cfg.shards)),
+		hasher:       iarena.NewHasher(),
+		eng:          &engineRef{workers: o.engineWorkers, obsv: observerFor(o.obs)},
+		n:            n,
+		k:            k,
+		ttl:          cfg.ttl,
+		opts:         o,
+		codecOpt:     o.codec,
+		impl:         o.impl.internal(),
+		now:          time.Now,
+		releasedSlot: new(Handle[T]),
 	}
 	for i := range ar.shards {
 		ar.shards[i].objs = make(map[string]*ArenaObject[T])
@@ -215,6 +330,11 @@ func NewArena[T comparable](n, k int, aopts ...ArenaOption) (*Arena[T], error) {
 	// Validate the whole object mold once: algorithm parameters and the
 	// snapshot-construction × backend combination. The materialized runtime
 	// seeds the pool rather than being thrown away.
+	if cfg.oneShot {
+		if ar.oneShot, err = core.NewOneShot(core.Params{N: n, M: o.m, K: k}); err != nil {
+			return nil, err
+		}
+	}
 	alg, err := ar.newAlgorithm()
 	if err != nil {
 		return nil, err
@@ -227,13 +347,13 @@ func NewArena[T comparable](n, k int, aopts ...ArenaOption) (*Arena[T], error) {
 	return ar, nil
 }
 
-// newAlgorithm builds one object's algorithm from the arena's mold.
+// newAlgorithm returns one object's algorithm from the arena's mold: the
+// shared one-shot algorithm, or a fresh repeated one.
 func (ar *Arena[T]) newAlgorithm() (core.Algorithm, error) {
-	p := core.Params{N: ar.n, M: ar.opts.m, K: ar.k}
-	if ar.oneShot {
-		return core.NewOneShot(p)
+	if ar.oneShot != nil {
+		return ar.oneShot, nil
 	}
-	return core.NewRepeated(p)
+	return core.NewRepeated(core.Params{N: ar.n, M: ar.opts.m, K: ar.k})
 }
 
 // Shards returns the shard count of the name→object map.
@@ -264,17 +384,22 @@ func (ar *Arena[T]) Object(key string) *ArenaObject[T] {
 		sh.mu.RLock()
 		ao := sh.objs[key]
 		sh.mu.RUnlock()
-		if ao == nil {
-			ao = ar.create(sh, key)
-		}
+		var now int64
 		if ar.ttl > 0 {
-			now := ar.now().UnixNano()
+			now = ar.now().UnixNano()
+		}
+		if ao == nil {
+			ao = ar.create(sh, key, now)
+		} else if ar.ttl > 0 && now-ao.lastUse.Load() > ar.touchGran() {
 			// Coarse touch: re-store the idle clock only once it is
 			// staler than the granularity, so a hot key costs one atomic
-			// load per lookup instead of a contended store.
-			if now-ao.lastUse.Load() > ar.touchGran() {
-				ao.lastUse.Store(now)
-			}
+			// load per lookup instead of a contended store. The new entry
+			// supersedes the object's older one, keeping the queue's
+			// stamps equal to the idle clock.
+			ao.lastUse.Store(now)
+			sh.idle.push(ao, now)
+		}
+		if ar.ttl > 0 {
 			// Incremental sweep, rate-limited per shard: at most one
 			// sweep per granularity window, won by a single CAS.
 			if next := sh.nextSweep.Load(); now > next &&
@@ -296,14 +421,16 @@ func (ar *Arena[T]) Object(key string) *ArenaObject[T] {
 }
 
 // create installs a fresh object for key under the shard write lock,
-// yielding to a concurrent creator that got there first.
-func (ar *Arena[T]) create(sh *arenaShard[T], key string) *ArenaObject[T] {
+// yielding to a concurrent creator that got there first. now (unix nanos;
+// 0 without a TTL) starts the object's idle clock: an object nobody claims
+// is evictable from birth.
+func (ar *Arena[T]) create(sh *arenaShard[T], key string, now int64) *ArenaObject[T] {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if ao := sh.objs[key]; ao != nil {
 		return ao
 	}
-	ao := &ArenaObject[T]{key: key, ar: ar}
+	ao := &ArenaObject[T]{key: key, ar: ar, sh: sh}
 	alg, err := ar.newAlgorithm()
 	if err != nil {
 		// Unreachable on a NewArena-validated mold; surfaced via Proc.
@@ -330,15 +457,21 @@ func (ar *Arena[T]) create(sh *arenaShard[T], key string) *ArenaObject[T] {
 		codec: codec,
 	}
 	ao.handles = make([]*Handle[T], ar.n)
-	ao.lastUse.Store(ar.now().UnixNano())
+	ao.lastUse.Store(now)
 	sh.objs[key] = ao
+	if ar.ttl > 0 {
+		sh.idle.push(ao, now)
+	}
 	ar.created.Add(1)
 	return ao
 }
 
 // Sweep evicts every evictable object — all handles released, idle past the
-// TTL — and returns how many were evicted. With no TTL configured it does
-// nothing; use Evict for explicit reclamation.
+// TTL — and returns how many were evicted. It visits only the objects whose
+// idle clock has expired, so its cost is proportional to the objects it
+// evicts (plus those touched or claimed since they last went idle), not to
+// the objects alive. With no TTL configured it does nothing; use Evict for
+// explicit reclamation.
 func (ar *Arena[T]) Sweep() int {
 	if ar.ttl <= 0 {
 		return 0
@@ -351,44 +484,66 @@ func (ar *Arena[T]) Sweep() int {
 	return total
 }
 
-// sweepShard evicts the shard's evictable objects in three phases: mark
-// dead (under the shard lock), fold counters into the retired totals and
-// recycle the runtimes (without the shard lock — fold takes retiredMu,
-// which must never nest inside a shard lock, see Stats), then delete the
-// dead entries. Deleting only after folding is what keeps the Stats
-// roll-up monotone: a dead object still in the map is counted through its
-// frozen counters until the exact retiredMu-guarded moment its generation
-// moves into the retired totals.
+// sweepBatch is how many expired queue entries a sweep handles per round.
+// A round's entries live in fixed-size arrays, so a sweep never allocates,
+// and it takes the shard lock twice per round rather than per object.
+const sweepBatch = 32
+
+// sweepShard pops the shard's expired idle entries and evicts the objects
+// still evictable, in three phases per round: mark dead (under the shard
+// lock), fold counters into the retired totals and recycle the runtimes
+// (without the shard lock — fold takes retiredMu, which must never nest
+// inside a shard lock, see Stats), then delete the dead entries. Deleting
+// only after folding is what keeps the Stats roll-up monotone: a dead
+// object still in the map is counted through its frozen counters until the
+// exact retiredMu-guarded moment its generation moves into the retired
+// totals. An entry whose object holds a live handle is dropped (the last
+// Release enqueues it again); one whose object was touched after the
+// deadline goes back in at its lastUse, so a touch racing the pop cannot
+// lose the object's only entry.
 func (ar *Arena[T]) sweepShard(sh *arenaShard[T], now int64) int {
 	// Extend the deadline by the touch granularity: the coarse touch may
 	// under-record recency by up to that much, and "idle at least the TTL"
 	// must hold for the true last access.
 	deadline := now - int64(ar.ttl) - ar.touchGran()
-	var dead []*ArenaObject[T]
-	var keys []string
-	sh.mu.Lock()
-	for key, ao := range sh.objs {
-		if ao.markDead(deadline, false) {
-			dead = append(dead, ao)
-			keys = append(keys, key)
+	total := 0
+	for {
+		var popped [sweepBatch]idleEntry[T]
+		n := sh.idle.popExpired(deadline, popped[:])
+		if n == 0 {
+			return total
+		}
+		var dead [sweepBatch]*ArenaObject[T]
+		nd := 0
+		sh.mu.Lock()
+		for _, e := range popped[:n] {
+			switch v, lastUse := e.ao.markDead(deadline, false); v {
+			case idleTouched:
+				sh.idle.push(e.ao, lastUse)
+			case idleDead:
+				dead[nd] = e.ao
+				nd++
+			}
+		}
+		sh.mu.Unlock()
+		if nd > 0 {
+			for _, ao := range dead[:nd] {
+				ar.fold(ao)
+			}
+			sh.mu.Lock()
+			for _, ao := range dead[:nd] {
+				if sh.objs[ao.key] == ao {
+					delete(sh.objs, ao.key)
+				}
+			}
+			sh.mu.Unlock()
+			ar.evicted.Add(int64(nd))
+			total += nd
+		}
+		if n < sweepBatch {
+			return total
 		}
 	}
-	sh.mu.Unlock()
-	if len(dead) == 0 {
-		return 0
-	}
-	for _, ao := range dead {
-		ar.fold(ao)
-	}
-	sh.mu.Lock()
-	for i, key := range keys {
-		if sh.objs[key] == dead[i] {
-			delete(sh.objs, key)
-		}
-	}
-	sh.mu.Unlock()
-	ar.evicted.Add(int64(len(dead)))
-	return len(dead)
 }
 
 // Evict reclaims key's object immediately if every claimed handle has been
@@ -398,7 +553,11 @@ func (ar *Arena[T]) Evict(key string) bool {
 	sh := &ar.shards[ar.hasher.Shard(key, len(ar.shards))]
 	sh.mu.Lock()
 	ao := sh.objs[key]
-	ok := ao != nil && ao.markDead(0, true)
+	ok := false
+	if ao != nil {
+		v, _ := ao.markDead(0, true)
+		ok = v == idleDead
+	}
 	sh.mu.Unlock()
 	if !ok {
 		return false
@@ -550,20 +709,24 @@ func (ar *Arena[T]) Observe(drain bool) *obs.Snapshot {
 type ArenaObject[T comparable] struct {
 	key string
 	ar  *Arena[T]
+	sh  *arenaShard[T] // the shard whose map and idle queue hold the object
 	obj object[T]
 	err error // construction error, surfaced at claim time
 
 	lastUse atomic.Int64 // unix nanos of the last touch
+	idleSeq uint64       // seq of the current idle-queue entry; guarded by sh.idle.mu
 
-	mu      sync.Mutex
-	handles []*Handle[T] // indexed by process id; nil = unclaimed
-	live    int          // claimed, unreleased handles
-	dead    bool         // evicted
-	// frozenMemSteps/frozenCASRetries capture the memory counters at
-	// eviction: the memory itself is recycled for another key's object, so
-	// a retained ArenaObject must never read it again.
-	frozenMemSteps   int64
-	frozenCASRetries int64
+	mu sync.Mutex
+	// handles is indexed by process id: nil = unclaimed, the arena's
+	// releasedSlot = claimed and released, anything else = the live handle.
+	handles []*Handle[T]
+	live    int  // claimed, unreleased handles
+	dead    bool // evicted
+	// spent sums the counters of the released handles. At eviction it also
+	// takes the memory counters, frozen: the memory itself is recycled for
+	// another key's object, so a retained ArenaObject must never read it
+	// again.
+	spent counterTotals
 	// folded marks the generation's counters as moved into the arena's
 	// retired totals. Guarded by the arena's retiredMu, not ao.mu.
 	folded bool
@@ -600,23 +763,36 @@ func (ao *ArenaObject[T]) Proc(id int) (*Handle[T], error) {
 	if ao.handles[id] != nil {
 		return nil, fmt.Errorf("%w: process %d already claimed", ErrInUse, id)
 	}
-	h := ao.obj.handle(id, ao.ar.oneShot)
+	h := ao.obj.handle(id, ao.ar.oneShot != nil)
 	h.guard.obsKey = ao.key
-	h.onRelease = func() { ao.released() }
+	h.owner = ao
 	ao.handles[id] = h
 	ao.live++
-	ao.lastUse.Store(ao.ar.now().UnixNano())
 	ao.ar.handlesTotal.Add(1)
 	return h, nil
 }
 
-// released records one handle leaving; the last release starts the idle
-// clock toward eviction.
-func (ao *ArenaObject[T]) released() {
+// released moves a released handle out of its object: the handle's
+// counters, final once Release has refused any Propose in flight, join the
+// object's totals, and its slot keeps only the consumed-id mark. The last
+// release starts the idle clock toward eviction and enqueues the object as
+// an eviction candidate.
+func (ao *ArenaObject[T]) released(h *Handle[T]) {
+	ar := ao.ar
 	ao.mu.Lock()
+	ao.spent.addHandle(&h.stats)
+	ao.handles[h.id] = ar.releasedSlot
 	ao.live--
-	ao.lastUse.Store(ao.ar.now().UnixNano())
+	idle := ao.live == 0 && ar.ttl > 0
+	var now int64
+	if idle {
+		now = ar.now().UnixNano()
+		ao.lastUse.Store(now)
+	}
 	ao.mu.Unlock()
+	if idle {
+		ao.sh.idle.push(ao, now)
+	}
 }
 
 func (ao *ArenaObject[T]) liveHandles() int {
@@ -651,94 +827,92 @@ func (ao *ArenaObject[T]) Evicted() bool {
 }
 
 // Stats aggregates the object's instrumentation: per-handle counters summed
-// over every handle claimed on this generation, plus the object-wide memory
-// counters (MemSteps, CASRetries) taken once. After eviction the memory
-// counters stay frozen at their eviction-time values (the memory itself is
-// recycled and belongs to another object).
+// over every handle claimed on this generation — released ones through the
+// totals they left behind — plus the object-wide memory counters
+// (MemSteps, CASRetries) taken once. After eviction the memory counters
+// stay frozen at their eviction-time values (the memory itself is recycled
+// and belongs to another object).
 func (ao *ArenaObject[T]) Stats() Stats {
 	if ao.err != nil {
 		return Stats{}
 	}
 	ao.mu.Lock()
-	dead := ao.dead
-	frozenMS, frozenCR := ao.frozenMemSteps, ao.frozenCASRetries
-	handles := make([]*Handle[T], 0, len(ao.handles))
+	t := ao.spent
 	for _, h := range ao.handles {
-		if h != nil {
-			handles = append(handles, h)
+		if h != nil && h != ao.ar.releasedSlot {
+			t.addHandle(&h.stats)
 		}
 	}
+	if !ao.dead {
+		t.memSteps, t.casRetries = memCounters(ao.obj.rt.mem)
+	}
 	ao.mu.Unlock()
-	var s Stats
-	for _, h := range handles {
-		s.Proposes += h.stats.proposes.Load()
-		s.Steps += h.stats.steps.Load()
-		s.Scans += h.stats.scans.Load()
-		s.WaitTime += time.Duration(h.stats.waitNS.Load())
-		s.Wakeups += h.stats.wakeups.Load()
-		s.SpuriousWakeups += h.stats.spurious.Load()
+	return Stats{
+		Proposes:        t.proposes,
+		Steps:           t.steps,
+		Scans:           t.scans,
+		WaitTime:        time.Duration(t.waitNS),
+		Wakeups:         t.wakeups,
+		SpuriousWakeups: t.spurious,
+		MemSteps:        t.memSteps,
+		CASRetries:      t.casRetries,
 	}
-	if dead {
-		s.MemSteps, s.CASRetries = frozenMS, frozenCR
-		return s
-	}
-	mem := ao.obj.rt.mem
-	if st, ok := mem.(shmem.Stepper); ok {
-		s.MemSteps = st.Steps()
-	}
-	if cr, ok := mem.(shmem.CASRetrier); ok {
-		s.CASRetries = cr.CASRetries()
-	}
-	return s
 }
+
+// idleVerdict is markDead's answer.
+type idleVerdict uint8
+
+const (
+	// idleHeld: the object is already dead or holds a live handle. A sweep
+	// drops its entry — the last Release enqueues the object again.
+	idleHeld idleVerdict = iota
+	// idleTouched: the object was touched after the deadline. A sweep
+	// re-appends it at the lastUse markDead returns.
+	idleTouched
+	// idleDead: markDead marked the object dead.
+	idleDead
+)
 
 // markDead transitions the object to dead if it is evictable: not already
 // dead, no live handles, and (unless force) idle since before the
 // deadline. It freezes the memory counters in the same critical section,
 // so Stats never reads the recycled memory afterwards. Called with the
-// owning shard lock held; the caller must follow up with Arena.fold and
-// only then delete the shard entry.
-func (ao *ArenaObject[T]) markDead(idleBefore int64, force bool) bool {
+// owning shard lock held; after idleDead the caller must follow up with
+// Arena.fold and only then delete the shard entry.
+func (ao *ArenaObject[T]) markDead(idleBefore int64, force bool) (idleVerdict, int64) {
 	if ao.err != nil {
-		return true // a stillborn object holds no runtime; just drop it
+		return idleDead, 0 // a stillborn object holds no runtime; just drop it
 	}
 	ao.mu.Lock()
 	defer ao.mu.Unlock()
-	if ao.dead || ao.live > 0 || (!force && ao.lastUse.Load() > idleBefore) {
-		return false
+	if ao.dead || ao.live > 0 {
+		return idleHeld, 0
+	}
+	if last := ao.lastUse.Load(); !force && last > idleBefore {
+		return idleTouched, last
 	}
 	// The memory is quiescent here: live == 0 means every claimed handle
 	// is released (and refuses further Proposes), and new claims need the
 	// mutex we hold.
-	if st, ok := ao.obj.rt.mem.(shmem.Stepper); ok {
-		ao.frozenMemSteps = st.Steps()
-	}
-	if cr, ok := ao.obj.rt.mem.(shmem.CASRetrier); ok {
-		ao.frozenCASRetries = cr.CASRetries()
-	}
+	ao.spent.memSteps, ao.spent.casRetries = memCounters(ao.obj.rt.mem)
 	ao.dead = true
-	return true
+	return idleDead, 0
 }
 
 // fold moves a dead object's counters into the arena's retired totals —
 // atomically with respect to Stats, which holds retiredMu across its whole
 // roll-up — and recycles the runtime. Called exactly once per dead object
-// (markDead returns true once), never with a shard lock held (retiredMu
-// is ordered before the shard locks).
+// (markDead reports idleDead once), never with a shard lock held
+// (retiredMu is ordered before the shard locks).
 func (ar *Arena[T]) fold(ao *ArenaObject[T]) {
 	if ao.err != nil {
 		return
 	}
-	s := ao.Stats() // frozen memory counters + per-handle sums
+	// Every handle was released before markDead, and no handle can be
+	// claimed on a dead object, so spent is final: it holds the whole
+	// generation's counters.
 	ar.retiredMu.Lock()
-	ar.retired.proposes += s.Proposes
-	ar.retired.steps += s.Steps
-	ar.retired.scans += s.Scans
-	ar.retired.waitNS += int64(s.WaitTime)
-	ar.retired.wakeups += s.Wakeups
-	ar.retired.spurious += s.SpuriousWakeups
-	ar.retired.memSteps += s.MemSteps
-	ar.retired.casRetries += s.CASRetries
+	ar.retired.add(&ao.spent)
 	ao.folded = true
 	ar.retiredMu.Unlock()
 	ar.pool.Put(iarena.Runtime{Mem: ao.obj.rt.mem, Wrap: ao.obj.rt.wrap})

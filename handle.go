@@ -38,10 +38,10 @@ type Handle[T comparable] struct {
 	// async one must — yield points are where the engine multiplexes).
 	// Allocated at the handle's first ProposeAsync, reused afterwards.
 	asyncWait *waitPlan
-	// onRelease, when set by the object that issued the handle (the arena
-	// does), runs exactly once when Release succeeds. Set before the handle
-	// escapes to the caller, never mutated afterwards.
-	onRelease func()
+	// owner is the arena object that issued the handle (nil on standalone
+	// objects); it is told exactly once, when Release succeeds. Set before
+	// the handle escapes to the caller, never mutated afterwards.
+	owner *ArenaObject[T]
 }
 
 // handle lifecycle states, stored in Handle.st.
@@ -207,8 +207,8 @@ func (h *Handle[T]) Release() error {
 			return nil
 		}
 		if h.st.CompareAndSwap(st, stateReleased) {
-			if h.onRelease != nil {
-				h.onRelease()
+			if h.owner != nil {
+				h.owner.released(h)
 			}
 			return nil
 		}
