@@ -9,14 +9,14 @@ import (
 // leaseCycleAllocCeiling caps the allocations of one arena lease cycle on
 // a one-shot arena: Object on a prebuilt key (creating the object from a
 // recycled runtime), Proc, Propose, Release, then a Sweep that evicts the
-// object. Measured: 12 on the default lock-free backend — the object
+// object. Measured: 11 on the default lock-free backend — the object
 // shell, its runtime view and its handle table (3), the handle, its
-// process and its boxed proposal (3), one version array per Update of the
-// Propose (5) and one when the pool resets the evicted memory; the sweep
-// itself allocates nothing. The ceiling sits beside the hot-path ceilings
-// of alloc_guard_test.go, which live in the external test package; this
-// guard needs the arena's fake clock.
-const leaseCycleAllocCeiling = 13
+// process and its boxed proposal (3) and one version array per Update of
+// the Propose (5); the pool's reset of the evicted memory reinstalls its
+// initial versions and the sweep itself allocates nothing. The ceiling
+// sits beside the hot-path ceilings of alloc_guard_test.go, which live in
+// the external test package; this guard needs the arena's fake clock.
+const leaseCycleAllocCeiling = 12
 
 // TestArenaLeaseCycleAllocs guards the arena's lease path end to end,
 // eviction included: the idle queue, the counter move at Release and the

@@ -37,9 +37,10 @@ import (
 // an object has been released and the object has been idle for the
 // configured TTL (WithIdleTTL), a sweep evicts it — an object with any live
 // (claimed, unreleased) handle is never evicted. Sweeps run incrementally
-// during Object calls and on demand via Sweep; each shard queues its
-// eviction candidates in idle order, so a sweep costs in proportion to the
-// objects it evicts, not to the objects alive. After eviction, a retained
+// during Object calls, at most once per TTL/16 per shard, and on demand via
+// Sweep; each shard queues its eviction candidates in idle order, so a
+// sweep costs in proportion to the objects it evicts, not to the objects
+// alive. After eviction, a retained
 // *ArenaObject fails with ErrEvicted; fetch the key's current object with
 // Object again, which recreates it fresh (new generation, all process ids
 // claimable again).
@@ -100,22 +101,24 @@ type arenaShard[T comparable] struct {
 	idle      idleQueue[T]
 }
 
-// idleQueue is a shard's FIFO of eviction candidates. An entry is appended
+// idleQueue is a shard's queue of eviction candidates. An entry is pushed
 // whenever an object may have become evictable or its idle clock moved: at
 // creation, at a Release that leaves it with no live handle, and at a
-// coarse touch in Object. Each entry carries the moment it was appended,
-// so the queue is in stamp order (up to clock reads racing each other) and
-// a sweep pops exactly its expired prefix. A new entry supersedes the
-// object's older ones: push bumps the object's idleSeq, and an entry whose
-// seq is no longer current is dropped when it reaches the head. Invariant:
-// every non-dead object with no live handle has exactly one current entry,
-// stamped no later than its lastUse. mu is a leaf lock: nothing else is
-// taken while it is held.
+// coarse touch in Object. Each entry carries the stamp its push stored in
+// lastUse. Creations and releases stamp the clock, a touch stamps a quarter
+// TTL ahead of it (see ArenaObject.touch), so the entries go into two FIFOs
+// by kind: each FIFO is then in stamp order (up to clock reads racing each
+// other) and a sweep pops exactly its expired prefixes. In one FIFO a
+// touch's entry would hold up the creations queued in the quarter TTL after
+// it. A new entry supersedes the object's older ones: push bumps the
+// object's idleSeq, and an entry whose seq is no longer current is dropped
+// when it reaches the head. Invariant: every non-dead object with no live
+// handle has exactly one current entry, stamped no later than its lastUse.
+// mu is a leaf lock: nothing else is taken while it is held.
 type idleQueue[T comparable] struct {
-	mu   sync.Mutex
-	buf  []idleEntry[T] // ring buffer, power-of-two length
-	head int
-	n    int
+	mu    sync.Mutex
+	now   idleFIFO[T] // entries stamped at their push: creations, releases
+	ahead idleFIFO[T] // entries stamped ahead of their push: touches
 }
 
 type idleEntry[T comparable] struct {
@@ -124,32 +127,49 @@ type idleEntry[T comparable] struct {
 	seq   uint64
 }
 
-// push appends ao stamped at stamp, superseding its older entries.
-func (q *idleQueue[T]) push(ao *ArenaObject[T], stamp int64) {
+// idleFIFO is a ring buffer of idle entries; its length is a power of two.
+type idleFIFO[T comparable] struct {
+	buf  []idleEntry[T]
+	head int
+	n    int
+}
+
+// push appends ao stamped at stamp, superseding its older entries; now is
+// the clock reading of the push, which tells the two kinds of entry apart.
+func (q *idleQueue[T]) push(ao *ArenaObject[T], stamp, now int64) {
+	f := &q.now
+	if stamp > now {
+		f = &q.ahead
+	}
 	q.mu.Lock()
-	if q.n == len(q.buf) {
-		buf := make([]idleEntry[T], max(16, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	if f.n == len(f.buf) {
+		buf := make([]idleEntry[T], max(16, 2*len(f.buf)))
+		for i := 0; i < f.n; i++ {
+			buf[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
 		}
-		q.buf, q.head = buf, 0
+		f.buf, f.head = buf, 0
 	}
 	ao.idleSeq++
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = idleEntry[T]{ao: ao, stamp: stamp, seq: ao.idleSeq}
-	q.n++
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = idleEntry[T]{ao: ao, stamp: stamp, seq: ao.idleSeq}
+	f.n++
 	q.mu.Unlock()
 }
 
 // popExpired moves up to len(out) current entries stamped at or before
-// deadline from the head of the queue into out, dropping stale entries on
+// deadline from the heads of both FIFOs into out, dropping stale entries on
 // the way, and returns how many it moved. Popped slots are cleared, so the
 // queue never keeps an evicted object's shell alive.
 func (q *idleQueue[T]) popExpired(deadline int64, out []idleEntry[T]) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	k := q.now.popExpired(deadline, out)
+	return k + q.ahead.popExpired(deadline, out[k:])
+}
+
+func (f *idleFIFO[T]) popExpired(deadline int64, out []idleEntry[T]) int {
 	k := 0
-	for k < len(out) && q.n > 0 {
-		e := &q.buf[q.head]
+	for k < len(out) && f.n > 0 {
+		e := &f.buf[f.head]
 		if e.stamp > deadline {
 			break
 		}
@@ -158,8 +178,8 @@ func (q *idleQueue[T]) popExpired(deadline int64, out []idleEntry[T]) int {
 			k++
 		}
 		*e = idleEntry[T]{}
-		q.head = (q.head + 1) & (len(q.buf) - 1)
-		q.n--
+		f.head = (f.head + 1) & (len(f.buf) - 1)
+		f.n--
 	}
 	return k
 }
@@ -213,14 +233,21 @@ func memCounters(mem shmem.Mem) (steps, casRetries int64) {
 }
 
 // touchGran is the granularity of idle-clock updates on the Object hot
-// path: lastUse is only re-stored once it is staler than ttl/touchDiv, so
-// a hot key costs one atomic load per lookup, not a contended store. To
-// compensate, the sweep deadline is extended by the same slack — an object
-// is evicted only after being idle for at least the full TTL, possibly up
-// to TTL/touchDiv longer.
+// path: a lookup that finds lastUse behind the clock stamps it ttl/touchDiv
+// ahead, which covers every lookup of the next ttl/touchDiv without a
+// store, so a hot key costs one atomic load per lookup, not a contended
+// store. The slack is charged only to objects looked up: one idle since its
+// creation or release carries an exact stamp.
 const touchDiv = 4
 
 func (ar *Arena[T]) touchGran() int64 { return int64(ar.ttl) / touchDiv }
+
+// sweepDiv sets the cadence of the incremental sweep: Object runs one per
+// shard at most every ttl/sweepDiv, so an object whose stamp has expired
+// waits at most that long for a sweep while its shard sees lookups.
+const sweepDiv = 16
+
+func (ar *Arena[T]) sweepGran() int64 { return int64(ar.ttl) / sweepDiv }
 
 // ArenaOption configures an Arena.
 type ArenaOption interface {
@@ -257,9 +284,13 @@ func WithShards(n int) ArenaOption {
 // handle is not a touch: a claimed object is never evicted, and the release
 // that frees it restarts its idle clock. The default (0) disables eviction
 // and all idle bookkeeping. Idle tracking is coarse on the lookup hot path
-// — touches are recorded at d/4 granularity and the sweep compensates by
-// waiting d plus that slack — so eviction happens between d and 1.25d of
-// true idleness, and a hot key's lookups stay free of contended writes.
+// — a lookup that records a touch dates it d/4 ahead, and the lookups of
+// the next d/4 then record nothing — so a hot key's lookups stay free of
+// contended writes. Object sweeps each shard at most every d/16, and Sweep
+// sweeps on demand. While sweeps run, an object idle since its creation or
+// the release of its last handle is evicted between d and d + d/16 after
+// it, and one looked up since is evicted between d and 1.25d + d/16 after
+// its last lookup.
 func WithIdleTTL(d time.Duration) ArenaOption {
 	return arenaOptionFunc(func(c *arenaConfig) error {
 		if d < 0 {
@@ -390,20 +421,14 @@ func (ar *Arena[T]) Object(key string) *ArenaObject[T] {
 		}
 		if ao == nil {
 			ao = ar.create(sh, key, now)
-		} else if ar.ttl > 0 && now-ao.lastUse.Load() > ar.touchGran() {
-			// Coarse touch: re-store the idle clock only once it is
-			// staler than the granularity, so a hot key costs one atomic
-			// load per lookup instead of a contended store. The new entry
-			// supersedes the object's older one, keeping the queue's
-			// stamps equal to the idle clock.
-			ao.lastUse.Store(now)
-			sh.idle.push(ao, now)
+		} else if ar.ttl > 0 {
+			ao.touch(now)
 		}
 		if ar.ttl > 0 {
 			// Incremental sweep, rate-limited per shard: at most one
-			// sweep per granularity window, won by a single CAS.
+			// sweep per sweepGran window, won by a single CAS.
 			if next := sh.nextSweep.Load(); now > next &&
-				sh.nextSweep.CompareAndSwap(next, now+ar.touchGran()) {
+				sh.nextSweep.CompareAndSwap(next, now+ar.sweepGran()) {
 				ar.sweepShard(sh, now)
 			}
 		}
@@ -460,18 +485,21 @@ func (ar *Arena[T]) create(sh *arenaShard[T], key string, now int64) *ArenaObjec
 	ao.lastUse.Store(now)
 	sh.objs[key] = ao
 	if ar.ttl > 0 {
-		sh.idle.push(ao, now)
+		sh.idle.push(ao, now, now)
 	}
 	ar.created.Add(1)
 	return ao
 }
 
 // Sweep evicts every evictable object — all handles released, idle past the
-// TTL — and returns how many were evicted. It visits only the objects whose
-// idle clock has expired, so its cost is proportional to the objects it
-// evicts (plus those touched or claimed since they last went idle), not to
-// the objects alive. With no TTL configured it does nothing; use Evict for
-// explicit reclamation.
+// TTL — and returns how many were evicted. An object's idle clock is exact
+// from its creation or the release of its last handle, and runs up to a
+// quarter TTL ahead after a lookup (see WithIdleTTL), so Sweep evicts an
+// object exactly when the TTL has passed since that stamp. It visits only
+// the objects whose idle clock has expired, so its cost is proportional to
+// the objects it evicts (plus those touched or claimed since they last went
+// idle), not to the objects alive. With no TTL configured it does nothing;
+// use Evict for explicit reclamation.
 func (ar *Arena[T]) Sweep() int {
 	if ar.ttl <= 0 {
 		return 0
@@ -500,12 +528,11 @@ const sweepBatch = 32
 // totals. An entry whose object holds a live handle is dropped (the last
 // Release enqueues it again); one whose object was touched after the
 // deadline goes back in at its lastUse, so a touch racing the pop cannot
-// lose the object's only entry.
+// lose the object's only entry. lastUse never under-records an access (a
+// coarse touch dates itself ahead, not behind), so the deadline is exactly
+// one TTL back.
 func (ar *Arena[T]) sweepShard(sh *arenaShard[T], now int64) int {
-	// Extend the deadline by the touch granularity: the coarse touch may
-	// under-record recency by up to that much, and "idle at least the TTL"
-	// must hold for the true last access.
-	deadline := now - int64(ar.ttl) - ar.touchGran()
+	deadline := now - int64(ar.ttl)
 	total := 0
 	for {
 		var popped [sweepBatch]idleEntry[T]
@@ -519,7 +546,7 @@ func (ar *Arena[T]) sweepShard(sh *arenaShard[T], now int64) int {
 		for _, e := range popped[:n] {
 			switch v, lastUse := e.ao.markDead(deadline, false); v {
 			case idleTouched:
-				sh.idle.push(e.ao, lastUse)
+				sh.idle.push(e.ao, lastUse, now)
 			case idleDead:
 				dead[nd] = e.ao
 				nd++
@@ -713,8 +740,12 @@ type ArenaObject[T comparable] struct {
 	obj object[T]
 	err error // construction error, surfaced at claim time
 
-	lastUse atomic.Int64 // unix nanos of the last touch
-	idleSeq uint64       // seq of the current idle-queue entry; guarded by sh.idle.mu
+	// lastUse (unix nanos) is an upper bound on the object's last access,
+	// and it never decreases: creation and the release of the last handle
+	// stamp the clock, a lookup past the stamp dates it a quarter TTL ahead
+	// (see touch). Raised only by CAS, so racing stamps keep the highest.
+	lastUse atomic.Int64
+	idleSeq uint64 // seq of the current idle-queue entry; guarded by sh.idle.mu
 
 	mu sync.Mutex
 	// handles is indexed by process id: nil = unclaimed, the arena's
@@ -776,7 +807,9 @@ func (ao *ArenaObject[T]) Proc(id int) (*Handle[T], error) {
 // counters, final once Release has refused any Propose in flight, join the
 // object's totals, and its slot keeps only the consumed-id mark. The last
 // release starts the idle clock toward eviction and enqueues the object as
-// an eviction candidate.
+// an eviction candidate. Its stamp is the clock or, when a lookup has dated
+// lastUse past the clock, that lookup's stamp: a release must not lower
+// the idle clock a lookup left.
 func (ao *ArenaObject[T]) released(h *Handle[T]) {
 	ar := ao.ar
 	ao.mu.Lock()
@@ -784,14 +817,43 @@ func (ao *ArenaObject[T]) released(h *Handle[T]) {
 	ao.handles[h.id] = ar.releasedSlot
 	ao.live--
 	idle := ao.live == 0 && ar.ttl > 0
-	var now int64
+	var now, stamp int64
 	if idle {
 		now = ar.now().UnixNano()
-		ao.lastUse.Store(now)
+		stamp = ao.raiseLastUse(now)
 	}
 	ao.mu.Unlock()
 	if idle {
-		ao.sh.idle.push(ao, now)
+		ao.sh.idle.push(ao, stamp, now)
+	}
+}
+
+// raiseLastUse raises lastUse to at least t and returns its value after.
+func (ao *ArenaObject[T]) raiseLastUse(t int64) int64 {
+	for {
+		last := ao.lastUse.Load()
+		if last >= t || ao.lastUse.CompareAndSwap(last, t) {
+			return max(last, t)
+		}
+	}
+}
+
+// touch records an Object lookup at now. A lookup at or before lastUse is
+// already covered and stores nothing — one atomic load on a hot key. A
+// later one dates lastUse a quarter TTL ahead, so that one store covers the
+// lookups of the next quarter TTL, and queues the object at the new stamp,
+// superseding its older entry.
+func (ao *ArenaObject[T]) touch(now int64) {
+	for {
+		last := ao.lastUse.Load()
+		if now <= last {
+			return
+		}
+		stamp := now + ao.ar.touchGran()
+		if ao.lastUse.CompareAndSwap(last, stamp) {
+			ao.sh.idle.push(ao, stamp, now)
+			return
+		}
 	}
 }
 
@@ -817,6 +879,18 @@ func (ao *ArenaObject[T]) notifyWaiters() int64 {
 		return nt.Waiters()
 	}
 	return 0
+}
+
+// memStats reads the object's memory counters: from the memory while the
+// object is alive, and as frozen at eviction once it is dead and the memory
+// serves another key.
+func (ao *ArenaObject[T]) memStats() (steps, casRetries int64) {
+	ao.mu.Lock()
+	defer ao.mu.Unlock()
+	if ao.dead {
+		return ao.spent.memSteps, ao.spent.casRetries
+	}
+	return memCounters(ao.obj.rt.mem)
 }
 
 // Evicted reports whether the object has been reclaimed.

@@ -72,6 +72,223 @@ func TestArenaEvictionBoundAfterTouch(t *testing.T) {
 	}
 }
 
+// releasedObject creates key on ar, claims and releases one handle on it,
+// and returns the object: idle from the release on.
+func releasedObject(t *testing.T, ar *Arena[int], key string) *ArenaObject[int] {
+	t.Helper()
+	ao := ar.Object(key)
+	h, err := ao.Proc(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Release(); err != nil {
+		t.Fatal(err)
+	}
+	return ao
+}
+
+// TestArenaEvictsReleasedObjectAtTTL: an object nobody looks up after the
+// release of its last handle is evicted by the first Sweep once the TTL has
+// passed since the release, and not a moment before.
+func TestArenaEvictsReleasedObjectAtTTL(t *testing.T) {
+	clock := newFakeClock()
+	ar, err := NewArena[int](2, 1, WithShards(1), WithIdleTTL(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar.now = clock.now
+	releasedObject(t, ar, "k")
+	clock.advance(time.Second - time.Nanosecond)
+	if n := ar.Sweep(); n != 0 {
+		t.Fatalf("Sweep evicted %d objects just before the TTL", n)
+	}
+	clock.advance(time.Millisecond)
+	if n := ar.Sweep(); n != 1 {
+		t.Fatalf("Sweep evicted %d objects just past the TTL, want 1", n)
+	}
+}
+
+// TestArenaTouchDoesNotDelayOthers: a lookup dates its key's idle clock a
+// quarter TTL ahead, and the objects that went idle just after it on the
+// same shard must not wait for that stamp: a key released right after
+// another key's lookup is still evicted just past the TTL.
+func TestArenaTouchDoesNotDelayOthers(t *testing.T) {
+	clock := newFakeClock()
+	ar, err := NewArena[int](2, 1, WithShards(1), WithIdleTTL(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar.now = clock.now
+	ar.Object("hot")
+	clock.advance(500 * time.Millisecond)
+	ar.Object("hot") // a touch, stamped a quarter TTL ahead
+	k := releasedObject(t, ar, "k")
+	clock.advance(time.Second + time.Millisecond)
+	if n := ar.Sweep(); n != 1 || !k.Evicted() {
+		t.Fatalf("Sweep evicted %d objects just past k's TTL (k evicted: %v), want k alone", n, k.Evicted())
+	}
+	clock.advance(250 * time.Millisecond)
+	if n := ar.Sweep(); n != 1 {
+		t.Fatalf("Sweep evicted %d objects 1.25 TTL after hot's lookup, want 1", n)
+	}
+}
+
+// TestArenaIncrementalSweepCadence: with lookups of another key of its shard
+// arriving every TTL/64, a released object is evicted by the incremental
+// sweeps of those lookups between one TTL and TTL + TTL/16 after the
+// release, give or take one lookup interval.
+func TestArenaIncrementalSweepCadence(t *testing.T) {
+	const ttl, step = time.Second, time.Second / 64
+	clock := newFakeClock()
+	ar, err := NewArena[int](2, 1, WithShards(1), WithIdleTTL(ttl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar.now = clock.now
+	k := releasedObject(t, ar, "k")
+	var idle time.Duration
+	for !k.Evicted() {
+		if idle > 2*ttl {
+			t.Fatal("k not evicted two TTLs after its release")
+		}
+		clock.advance(step)
+		idle += step
+		ar.Object("other")
+	}
+	if idle < ttl || idle > ttl+ttl/16+step {
+		t.Fatalf("k evicted %v after its release, want between %v and %v", idle, ttl, ttl+ttl/16+step)
+	}
+}
+
+// TestArenaLookupInsideTouchQuarter: a lookup within the quarter TTL a
+// touch dated ahead stores nothing, yet still keeps the object for at least
+// the TTL after that lookup.
+func TestArenaLookupInsideTouchQuarter(t *testing.T) {
+	const ttl = time.Second
+	clock := newFakeClock()
+	ar, err := NewArena[int](2, 1, WithShards(1), WithIdleTTL(ttl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar.now = clock.now
+	ao := releasedObject(t, ar, "k")
+	clock.advance(ttl / 2)
+	ar.Object("k") // the touch
+	stamp := ao.lastUse.Load()
+	clock.advance(ttl / 5)
+	ar.Object("k") // inside the touch's quarter
+	if got := ao.lastUse.Load(); got != stamp {
+		t.Fatalf("a lookup inside the touch's quarter moved lastUse from %d to %d", stamp, got)
+	}
+	clock.advance(ttl - time.Nanosecond)
+	if n := ar.Sweep(); n != 0 {
+		t.Fatalf("Sweep evicted %d objects less than a TTL after the last lookup", n)
+	}
+	clock.advance(ttl/20 + time.Nanosecond)
+	if n := ar.Sweep(); n != 1 {
+		t.Fatalf("Sweep evicted %d objects 1.25 TTL after the touch, want 1", n)
+	}
+}
+
+// TestArenaReleaseKeepsLookupStamp: the release of the last handle stamps
+// the idle clock at the release time or at the stamp a lookup left,
+// whichever is later — a release never lowers it.
+func TestArenaReleaseKeepsLookupStamp(t *testing.T) {
+	const ttl = time.Second
+	clock := newFakeClock()
+	ar, err := NewArena[int](2, 1, WithShards(1), WithIdleTTL(ttl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar.now = clock.now
+	ao := ar.Object("k")
+	h, err := ao.Proc(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.advance(ttl / 2)
+	ar.Object("k") // dates lastUse a quarter TTL ahead
+	stamp := ao.lastUse.Load()
+	if want := clock.now().Add(ttl / 4).UnixNano(); stamp != want {
+		t.Fatalf("touch stamped %d, want %d", stamp, want)
+	}
+	clock.advance(ttl / 10)
+	if err := h.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ao.lastUse.Load(); got != stamp {
+		t.Fatalf("Release moved lastUse from %d to %d", stamp, got)
+	}
+	clock.advance(ttl + ttl/4 - ttl/10 - time.Nanosecond)
+	if n := ar.Sweep(); n != 0 {
+		t.Fatalf("Sweep evicted %d objects before the lookup's stamp expired", n)
+	}
+	clock.advance(time.Nanosecond)
+	if n := ar.Sweep(); n != 1 {
+		t.Fatalf("Sweep evicted %d objects once the lookup's stamp expired, want 1", n)
+	}
+
+	// The release that finds lastUse behind the clock stamps the clock.
+	ao = releasedObject(t, ar, "fresh")
+	if got, want := ao.lastUse.Load(), clock.now().UnixNano(); got != want {
+		t.Fatalf("Release stamped %d, want the clock %d", got, want)
+	}
+}
+
+// TestArenaReleasedHandleStatsFrozenAtEviction: once a released handle's
+// object is evicted, its memory serves another key; the handle must keep
+// reporting the memory counters its object froze at eviction, not the new
+// key's.
+func TestArenaReleasedHandleStatsFrozenAtEviction(t *testing.T) {
+	ctx := context.Background()
+	ar, err := NewArena[int](2, 1, ArenaOneShot(), WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ar.Object("a")
+	h, err := a.Proc(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Propose(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Release(); err != nil {
+		t.Fatal(err)
+	}
+	before := h.Stats()
+	if before.MemSteps == 0 {
+		t.Fatal("a Propose left MemSteps at 0")
+	}
+	if !ar.Evict("a") {
+		t.Fatal("Evict(a) refused an object with no live handle")
+	}
+	// Key b takes a's recycled memory and runs two proposals on it.
+	b := ar.Object("b")
+	for id := 0; id < 2; id++ {
+		hb, err := b.Proc(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hb.Propose(ctx, 2+id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := ar.Stats(); s.PoolHits < 2 {
+		t.Fatalf("PoolHits = %d: b did not reuse a's memory, so the test shows nothing", s.PoolHits)
+	}
+	after := h.Stats()
+	frozen := a.Stats()
+	if after.MemSteps != before.MemSteps || after.CASRetries != before.CASRetries {
+		t.Fatalf("released handle's memory counters moved after eviction: MemSteps %d → %d, CASRetries %d → %d",
+			before.MemSteps, after.MemSteps, before.CASRetries, after.CASRetries)
+	}
+	if after.MemSteps != frozen.MemSteps || after.CASRetries != frozen.CASRetries {
+		t.Fatalf("released handle reports (%d, %d), its evicted object (%d, %d)",
+			after.MemSteps, after.CASRetries, frozen.MemSteps, frozen.CASRetries)
+	}
+}
+
 // TestArenaSweepRequeuesTouchedEntry covers the window between a touch's
 // idle-clock store and its queue push: a sweep that pops the object's
 // entry in that window finds it touched after the deadline and must put
@@ -230,13 +447,17 @@ const (
 // after every op:
 //   - a key with a live handle keeps its object: Object returns it and it
 //     is not evicted, and Evict refuses it;
+//   - no object is evicted, other than by Evict, less than a TTL after its
+//     last Object lookup or Release;
 //   - Created − Evicted == Len;
 //   - the cumulative ArenaStats never decrease, and Proposes, Steps and
 //     Scans equal the sums over every handle ever claimed.
 //
 // At the end, every released handle's counters are still what it reported
-// at Release, and after advancing 2×TTL and a Sweep, Len equals the number
-// of keys with a live handle. "P0AAAAAAR0AAAAAS", for example, holds key 0's
+// at Release — its object-wide memory counters too, once the object is
+// evicted: frozen at eviction, never read from the recycled memory — and
+// after advancing 2×TTL and a Sweep, Len equals the number of keys with a
+// live handle. "P0AAAAAAR0AAAAAS", for example, holds key 0's
 // handle past the TTL, releases it and sweeps once it has idled out.
 func FuzzArenaEviction(f *testing.F) {
 	for _, seed := range []string{
@@ -248,6 +469,8 @@ func FuzzArenaEviction(f *testing.F) {
 		"P2R2E2P2R2AAAAAE2S",
 		"P0P1P2P3R0R1AAAAAO2SR2R3AAAAAS",
 		"O3AAAO3AAAO3AAASAAAAAS",
+		"P0R0AAASAS",
+		"O1AO1AAASAS",
 	} {
 		f.Add(seed)
 	}
@@ -260,14 +483,17 @@ func FuzzArenaEviction(f *testing.F) {
 }
 
 // fuzzKey is the model of one key: the generation Object last returned,
-// the next id to claim on it, its live handles (oldest first) and the
-// value its first proposer decided.
+// the next id to claim on it, its live handles (oldest first), the value
+// its first proposer decided, the time of its last Object lookup or
+// Release, and whether its eviction has been seen.
 type fuzzKey struct {
 	obj     *ArenaObject[int]
 	next    int
 	live    []*Handle[int]
 	decided int
 	has     bool
+	access  time.Time
+	evicted bool
 }
 
 func runEvictionOps(t *testing.T, ops string) {
@@ -285,6 +511,7 @@ func runEvictionOps(t *testing.T, ops string) {
 	var want Stats
 	type releasedHandle struct {
 		h     *Handle[int]
+		obj   *ArenaObject[int]
 		stats Stats
 	}
 	var released []releasedHandle
@@ -299,6 +526,7 @@ func runEvictionOps(t *testing.T, ops string) {
 		if obj != m.obj {
 			*m = fuzzKey{obj: obj}
 		}
+		m.access = clock.now()
 		return obj
 	}
 	for i := 0; i < len(ops); i++ {
@@ -308,6 +536,7 @@ func runEvictionOps(t *testing.T, ops string) {
 			i++
 		}
 		m := &keys[k]
+		evictKey := -1
 		switch op {
 		case opObject:
 			lookup(k)
@@ -345,12 +574,14 @@ func runEvictionOps(t *testing.T, ops string) {
 				t.Fatalf("op %d: Release on key %d: %v", i, k, err)
 			}
 			m.live = m.live[1:]
-			released = append(released, releasedHandle{h, s})
+			m.access = clock.now()
+			released = append(released, releasedHandle{h, m.obj, s})
 		case opAdvance:
 			clock.advance(fuzzTTL / 4)
 		case opSweep:
 			ar.Sweep()
 		case opEvict:
+			evictKey = k
 			want := m.obj != nil && !m.obj.Evicted() && len(m.live) == 0
 			if got := ar.Evict(fmt.Sprint(k)); got != want {
 				t.Fatalf("op %d: Evict(key %d) = %v, want %v (live handles %d)", i, k, got, want, len(m.live))
@@ -358,8 +589,16 @@ func runEvictionOps(t *testing.T, ops string) {
 		}
 
 		for k := range keys {
-			if len(keys[k].live) > 0 && keys[k].obj.Evicted() {
-				t.Fatalf("op %d: key %d evicted with %d live handles", i, k, len(keys[k].live))
+			m := &keys[k]
+			if m.obj == nil || m.evicted || !m.obj.Evicted() {
+				continue
+			}
+			m.evicted = true
+			if len(m.live) > 0 {
+				t.Fatalf("op %d: key %d evicted with %d live handles", i, k, len(m.live))
+			}
+			if idle := clock.now().Sub(m.access); idle < fuzzTTL && !(op == opEvict && k == evictKey) {
+				t.Fatalf("op %d: key %d evicted %v after its last Object or Release, under the TTL", i, k, idle)
 			}
 		}
 		s := ar.Stats()
@@ -377,10 +616,21 @@ func runEvictionOps(t *testing.T, ops string) {
 	}
 
 	for _, r := range released {
-		got := r.h.Stats()
-		got.MemSteps, got.CASRetries = r.stats.MemSteps, r.stats.CASRetries // object-wide, not the handle's
-		if got != r.stats {
-			t.Fatalf("released handle's Stats moved: %+v, reported %+v at Release", got, r.stats)
+		got, want := r.h.Stats(), r.stats
+		if r.obj.Evicted() {
+			// The object's memory counters, frozen at its eviction.
+			frozen := r.obj.Stats()
+			if frozen.MemSteps < want.MemSteps || frozen.CASRetries < want.CASRetries {
+				t.Fatalf("evicted object froze memory counters (%d, %d) below its handle's (%d, %d) at Release",
+					frozen.MemSteps, frozen.CASRetries, want.MemSteps, want.CASRetries)
+			}
+			want.MemSteps, want.CASRetries = frozen.MemSteps, frozen.CASRetries
+		} else {
+			// Object-wide and live: other handles may still move them.
+			want.MemSteps, want.CASRetries = got.MemSteps, got.CASRetries
+		}
+		if got != want {
+			t.Fatalf("released handle's Stats moved: %+v, want %+v", got, want)
 		}
 	}
 

@@ -77,20 +77,34 @@ func (b *Batch[T]) Wait(ctx context.Context) error {
 	return nil
 }
 
-// SubmitBatch claims a handle and submits a proposal for every op, handing
-// the whole batch to the arena's engine through one run-queue transition —
-// the amortized counterpart of looping ProposeAsync over Object(...).Proc(...).
-// Futures, proposal wrappers and engine tasks are slab-allocated per batch,
-// so the submit-side cost per proposal drops well below the looped path's
-// at fan-out batch sizes (see BenchmarkSubmitBatch).
+// submitChunk is how many prepared proposals Arena.SubmitBatch gathers
+// before it hands them to the engine. Each key of a fan-out is an
+// independent object whose first proposal runs solo and decides, so the
+// engine can start deciding the first keys while the submitter is still
+// creating objects and claiming handles for the rest; a batch reaches the
+// engine as one descriptor per submitChunk proposals, which bounds how
+// long the first proposal waits for the submitter. Smaller chunks start
+// sooner but cost a descriptor and a run-queue transition each.
+const submitChunk = 16
+
+// SubmitBatch claims a handle and submits a proposal for every op — the
+// amortized counterpart of looping ProposeAsync over Object(...).Proc(...).
+// The proposals reach the arena's engine as they are prepared, one batch
+// descriptor — one run-queue transition — per 16 proposals, so the engine
+// decides the first keys while SubmitBatch is still claiming handles for
+// the rest; they start in op order. Futures, proposal wrappers and engine
+// tasks are slab-allocated per batch, so the submit-side cost per proposal
+// drops well below the looped path's at fan-out batch sizes (see
+// BenchmarkSubmitBatch).
 //
 // Per-op failures never fail the batch: an op whose claim fails (an already
 // claimed process id, an evicted generation, a dead context) gets an
 // already-resolved future carrying that error, exactly as ProposeAsync
-// would return, and the rest of the batch proceeds. Note that Proc claims
-// are per object generation: SubmitBatch is the fan-out entry point for
-// fresh keys, while repeated proposals over retained handles go through
-// SubmitAll.
+// would return, and the rest of the batch proceeds. By the time SubmitBatch
+// returns every claim has been made and every future set; earlier
+// proposals may already have resolved. Note that Proc claims are per
+// object generation: SubmitBatch is the fan-out entry point for fresh keys,
+// while repeated proposals over retained handles go through SubmitAll.
 func (ar *Arena[T]) SubmitBatch(ctx context.Context, ops []BatchOp[T]) (*Batch[T], error) {
 	b := &Batch[T]{}
 	if len(ops) == 0 {
@@ -100,7 +114,12 @@ func (ar *Arena[T]) SubmitBatch(ctx context.Context, ops []BatchOp[T]) (*Batch[T
 	aps := make([]asyncProposal[T], len(ops))
 	b.futs = make([]*Future[T], len(ops))
 	b.handles = make([]*Handle[T], len(ops))
+	// props[sent:] are prepared but not yet handed over. Each handoff is a
+	// capacity-capped subslice of the one array, props[sent:n:n], so it
+	// allocates nothing, and the engine never sees the part still being
+	// appended to.
 	props := make([]engine.Proposal, 0, len(ops))
+	sent := 0
 	// Consecutive ops on one key (the natural fan-out shape: all contenders
 	// of a key submitted together) share a single arena lookup.
 	var lastKey string
@@ -126,10 +145,14 @@ func (ar *Arena[T]) SubmitBatch(ctx context.Context, ops []BatchOp[T]) (*Batch[T
 		b.handles[i] = h
 		if h.prepareAsync(ctx, fut, &aps[i], ops[i].Value) {
 			props = append(props, &aps[i])
+			if n := len(props); n-sent == submitChunk {
+				ar.eng.get().SubmitBatch(props[sent:n:n])
+				sent = n
+			}
 		}
 	}
-	if len(props) > 0 {
-		ar.eng.get().SubmitBatch(props)
+	if n := len(props); n > sent {
+		ar.eng.get().SubmitBatch(props[sent:n:n])
 	}
 	return b, nil
 }

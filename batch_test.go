@@ -13,6 +13,7 @@ import (
 	"time"
 
 	sa "setagreement"
+	"setagreement/obs"
 )
 
 // TestSubmitBatchFanout: one SubmitBatch call fans out over fresh arena
@@ -87,6 +88,55 @@ func TestSubmitBatchFanout(t *testing.T) {
 	}
 	if err := b.Wait(ctx); err != nil {
 		t.Fatalf("Wait after drain: %v", err)
+	}
+}
+
+// TestSubmitBatchStreamsChunks: a 256-op SubmitBatch reaches the engine as
+// 16 batch descriptors of 16 proposals — the submitter hands each run over
+// as soon as it is prepared — and every proposal still resolves exactly
+// once through a completion queue.
+func TestSubmitBatchStreamsChunks(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	const keys, procs = 128, 2
+	col := obs.NewCollector()
+	ar, err := sa.NewArena[int](procs, 1, sa.ArenaOneShot(),
+		sa.WithObjectOptions(sa.WithObservability(col)))
+	if err != nil {
+		t.Fatalf("NewArena: %v", err)
+	}
+	ops := make([]sa.BatchOp[int], 0, keys*procs)
+	for k := 0; k < keys; k++ {
+		for p := 0; p < procs; p++ {
+			ops = append(ops, sa.BatchOp[int]{Key: fmt.Sprintf("key-%d", k), Proc: p, Value: k*10 + p})
+		}
+	}
+	b, err := ar.SubmitBatch(ctx, ops)
+	if err != nil {
+		t.Fatalf("SubmitBatch: %v", err)
+	}
+	q := sa.NewCompletionQueue[int]()
+	defer q.Close()
+	if err := b.Register(q); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	seen := make([]bool, len(ops))
+	for range ops {
+		c, err := q.Next(ctx)
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		if seen[c.Tag] {
+			t.Fatalf("tag %d delivered twice", c.Tag)
+		}
+		seen[c.Tag] = true
+		if v, err := c.Value(); err != nil || v/10 != ops[c.Tag].Value/10 {
+			t.Fatalf("op %d decided (%d, %v), want a value proposed on its key", c.Tag, v, err)
+		}
+	}
+	if got, want := ar.Observe(false).Counters["batches_expanded"], uint64(len(ops)/16); got != want {
+		t.Fatalf("batches_expanded = %d, want %d descriptors of 16 proposals", got, want)
 	}
 }
 

@@ -2,17 +2,20 @@
 // scale: ONE goroutine drives 1,000 keyed agreements to completion over an
 // arena. Each key is a consensus (k = 1) between two contenders. The whole
 // workload — 2,000 proposals — is submitted through a single SubmitBatch
-// call: handles are claimed, futures slab-allocated and the batch handed
-// to the arena's engine through one run-queue transition, io_uring style,
-// instead of 2,000 ProposeAsync round trips. At any moment hundreds of
-// proposals are in flight, contending, parking on their objects' change
-// notifiers and resuming on each other's writes, while the process holds
-// no goroutine per proposal.
+// call: handles are claimed, futures slab-allocated and the proposals
+// handed to the arena's engine, io_uring style, one run-queue transition
+// per 16 of them instead of 2,000 ProposeAsync round trips. The engine
+// starts deciding the first keys while SubmitBatch is still claiming
+// handles for the rest. At any moment hundreds of proposals are in flight,
+// contending, parking on their objects' change notifiers and resuming on
+// each other's writes, while the process holds no goroutine per proposal.
 //
 // Completions drain through a CompletionQueue in the order keys decide —
 // not submission order — so the collector observes time-to-first-decision
 // long before the last key settles, with no head-of-line blocking and no
-// per-future select.
+// per-future select. Both decision times are taken as the collector sees
+// them, so they count from the start of SubmitBatch and include it: the
+// keys decided while it ran are delivered by the first Next calls.
 //
 // The run is fully instrumented (WithObservability): after the drain it
 // prints the per-stage latency breakdown — submit→first-step, park time,
@@ -75,7 +78,7 @@ func main() {
 
 	// Submit phase: one BatchOp per contender, one SubmitBatch for all of
 	// them. Consecutive ops on a key share the arena lookup, and the engine
-	// sees the whole batch as a single descriptor.
+	// receives one batch descriptor per 16 proposals as they are prepared.
 	ops := make([]setagreement.BatchOp[string], 0, 2*keys)
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("account-%04d", i)

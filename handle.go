@@ -243,10 +243,11 @@ type Stats struct {
 	// deleted with the next benchmark change.
 	ScansAdopted int64
 	// MemSteps counts operations executed by the object's shared memory,
-	// across all handles.
+	// across all handles. Once an arena object is evicted, its handles
+	// report the count at eviction: the memory then serves another key.
 	MemSteps int64
 	// CASRetries counts failed compare-and-swap installs in the object's
-	// memory backend, across all handles.
+	// memory backend, across all handles; frozen at eviction like MemSteps.
 	CASRetries int64
 }
 
@@ -271,11 +272,10 @@ func (h *Handle[T]) Stats() Stats {
 		Wakeups:         h.stats.wakeups.Load(),
 		SpuriousWakeups: h.stats.spurious.Load(),
 	}
-	if st, ok := h.rt.mem.(shmem.Stepper); ok {
-		s.MemSteps = st.Steps()
-	}
-	if cr, ok := h.rt.mem.(shmem.CASRetrier); ok {
-		s.CASRetries = cr.CASRetries()
+	if h.owner != nil {
+		s.MemSteps, s.CASRetries = h.owner.memStats()
+	} else {
+		s.MemSteps, s.CASRetries = memCounters(h.rt.mem)
 	}
 	return s
 }

@@ -24,7 +24,9 @@ type Algorithm interface {
 	Name() string
 	// Params returns the (n, m, k) the algorithm was built for.
 	Params() Params
-	// Spec is the shared memory the algorithm needs.
+	// Spec is the shared memory the algorithm needs. Its Snaps slice may
+	// be the algorithm's own, shared across calls: callers must not
+	// modify it.
 	Spec() shmem.Spec
 	// Registers is the claimed register cost — the paper's formula —
 	// against which experiments audit actual usage.

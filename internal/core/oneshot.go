@@ -23,6 +23,7 @@ func (p Pair) String() string { return fmt.Sprintf("(%d,p%d)", p.Val, p.ID) }
 type OneShot struct {
 	params Params
 	r      int
+	snaps  [1]int // Spec's component counts, {r}: built once, shared
 }
 
 var _ Algorithm = (*OneShot)(nil)
@@ -32,7 +33,7 @@ func NewOneShot(p Params) (*OneShot, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &OneShot{params: p, r: p.N + 2*p.M - p.K}, nil
+	return newOneShot(p, p.N+2*p.M-p.K), nil
 }
 
 // NewOneShotComponents builds the algorithm with an explicit component count
@@ -47,7 +48,11 @@ func NewOneShotComponents(p Params, r int) (*OneShot, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("core: one-shot needs r ≥ 1 components, got %d", r)
 	}
-	return &OneShot{params: p, r: r}, nil
+	return newOneShot(p, r), nil
+}
+
+func newOneShot(p Params, r int) *OneShot {
+	return &OneShot{params: p, r: r, snaps: [1]int{r}}
 }
 
 // Name implements Algorithm.
@@ -59,8 +64,10 @@ func (a *OneShot) Params() Params { return a.params }
 // Components returns the snapshot component count r.
 func (a *OneShot) Components() int { return a.r }
 
-// Spec implements Algorithm: one snapshot object with r components.
-func (a *OneShot) Spec() shmem.Spec { return shmem.Spec{Snaps: []int{a.r}} }
+// Spec implements Algorithm: one snapshot object with r components. Its
+// Snaps slice is the algorithm's own, so Spec allocates nothing; callers
+// must treat it as read-only.
+func (a *OneShot) Spec() shmem.Spec { return shmem.Spec{Snaps: a.snaps[:]} }
 
 // Registers implements Algorithm: min(n+2m−k, n) per Theorem 7.
 func (a *OneShot) Registers() int { return min(a.r, a.params.N) }

@@ -27,6 +27,7 @@ func (t RTuple) String() string {
 type Repeated struct {
 	params Params
 	r      int
+	snaps  [1]int  // Spec's component counts, {r}: built once, shared
 	root   History // the empty history every process starts from
 }
 
@@ -37,7 +38,7 @@ func NewRepeated(p Params) (*Repeated, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Repeated{params: p, r: p.N + 2*p.M - p.K, root: NewHistory()}, nil
+	return newRepeated(p, p.N+2*p.M-p.K), nil
 }
 
 // NewRepeatedComponents builds the algorithm with an explicit component
@@ -50,7 +51,11 @@ func NewRepeatedComponents(p Params, r int) (*Repeated, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("core: repeated needs r ≥ 1 components, got %d", r)
 	}
-	return &Repeated{params: p, r: r, root: NewHistory()}, nil
+	return newRepeated(p, r), nil
+}
+
+func newRepeated(p Params, r int) *Repeated {
+	return &Repeated{params: p, r: r, snaps: [1]int{r}, root: NewHistory()}
 }
 
 // Name implements Algorithm.
@@ -62,8 +67,10 @@ func (a *Repeated) Params() Params { return a.params }
 // Components returns the snapshot component count r.
 func (a *Repeated) Components() int { return a.r }
 
-// Spec implements Algorithm.
-func (a *Repeated) Spec() shmem.Spec { return shmem.Spec{Snaps: []int{a.r}} }
+// Spec implements Algorithm: one snapshot object with r components. Its
+// Snaps slice is the algorithm's own, so Spec allocates nothing; callers
+// must treat it as read-only.
+func (a *Repeated) Spec() shmem.Spec { return shmem.Spec{Snaps: a.snaps[:]} }
 
 // Registers implements Algorithm: min(n+2m−k, n) per Theorem 8.
 func (a *Repeated) Registers() int { return min(a.r, a.params.N) }

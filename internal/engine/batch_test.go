@@ -86,6 +86,70 @@ func TestSubmitBatchPreservesOrderBeyondWorkers(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchFIFOAcrossDescriptors: two batches submitted back to back
+// to a one-worker engine run in submission order, 0 through 5, whether the
+// first descriptor went straight to a drain or waited in the run queue. An
+// expansion that appended its tail behind the second descriptor would run
+// [0 4 1 2 3 5].
+func TestSubmitBatchFIFOAcrossDescriptors(t *testing.T) {
+	for _, held := range []bool{false, true} {
+		name := "handed"
+		if held {
+			name = "queued"
+		}
+		t.Run(name, func(t *testing.T) {
+			// One processor keeps a freshly spawned drain from running
+			// before the second SubmitBatch, so the first descriptor is
+			// expanded only after the second one is queued.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			e := engine.New(1)
+			defer e.Close()
+			gate := make(chan struct{})
+			if held {
+				// Hold the only worker, so both descriptors queue behind it.
+				started := make(chan struct{})
+				e.Submit(newTestProposal(func(engine.Wake) (engine.Park, bool) {
+					close(started)
+					<-gate
+					return engine.Park{}, false
+				}))
+				<-started
+			}
+			var (
+				mu    sync.Mutex
+				order []int
+				done  sync.WaitGroup
+			)
+			batch := func(lo, hi int) []engine.Proposal {
+				ps := make([]engine.Proposal, 0, hi-lo)
+				for i := lo; i < hi; i++ {
+					i := i
+					ps = append(ps, newTestProposal(func(engine.Wake) (engine.Park, bool) {
+						mu.Lock()
+						order = append(order, i)
+						mu.Unlock()
+						done.Done()
+						return engine.Park{}, false
+					}))
+				}
+				return ps
+			}
+			done.Add(6)
+			e.SubmitBatch(batch(0, 4))
+			e.SubmitBatch(batch(4, 6))
+			close(gate)
+			waitWG(t, &done)
+			mu.Lock()
+			defer mu.Unlock()
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("proposals ran in order %v, want 0 through 5", order)
+				}
+			}
+		})
+	}
+}
+
 func TestSubmitBatchClosedAbortsAll(t *testing.T) {
 	e := engine.New(2)
 	e.Close()

@@ -201,6 +201,73 @@ type task struct {
 // those goroutines wait for a processor, and so do the parks they end.
 const yieldEvery = 64
 
+// runQueue is the engine's run queue: a ring-buffer deque of tasks. Fresh
+// and woken tasks join at the back; a batch descriptor's tail joins at the
+// front when it is expanded (see expand), which a slice queue could only
+// do by copying everything queued. Popped slots are cleared, so the queue
+// keeps no finished task alive. Guarded by the engine's mu.
+type runQueue struct {
+	buf  []*task // power-of-two length
+	head int
+	n    int
+}
+
+func (q *runQueue) len() int { return q.n }
+
+// grow makes room for extra more tasks, keeping the queued ones in order.
+func (q *runQueue) grow(extra int) {
+	if q.n+extra <= len(q.buf) {
+		return
+	}
+	size := max(16, len(q.buf))
+	for size < q.n+extra {
+		size *= 2
+	}
+	buf := make([]*task, size)
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	}
+	q.buf, q.head = buf, 0
+}
+
+func (q *runQueue) pushBack(t *task) {
+	q.grow(1)
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = t
+	q.n++
+}
+
+// pushFront puts the tasks of ts ahead of every queued task, in ts order.
+func (q *runQueue) pushFront(ts []task) {
+	if len(ts) == 0 {
+		return
+	}
+	q.grow(len(ts))
+	q.head = (q.head - len(ts)) & (len(q.buf) - 1)
+	for i := range ts {
+		q.buf[(q.head+i)&(len(q.buf)-1)] = &ts[i]
+	}
+	q.n += len(ts)
+}
+
+// popFront removes and returns the task at the head; the queue must not
+// be empty.
+func (q *runQueue) popFront() *task {
+	t := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return t
+}
+
+// takeAll empties the queue, returning its tasks in order.
+func (q *runQueue) takeAll() []*task {
+	ts := make([]*task, q.n)
+	for i := range ts {
+		ts[i] = q.popFront()
+	}
+	return ts
+}
+
 // Engine multiplexes proposals over at most `workers` concurrent drain
 // goroutines. The goroutines are transient: one is spawned when work
 // arrives and none is free, and it exits when the run queue is empty — so
@@ -213,7 +280,7 @@ type Engine struct {
 	workers int
 
 	mu     sync.Mutex
-	queue  []*task
+	queue  runQueue
 	parked map[*task]struct{}
 	active int // drain goroutines currently alive (≤ workers)
 	closed bool
@@ -355,9 +422,11 @@ func (e *Engine) Submit(p Proposal) {
 // into the per-proposal task slab on the engine's side of the handoff
 // (see expand), so the materialization cost overlaps useful work instead
 // of serializing the submitter. The batch's proposals start in submission
-// order. On a closed engine every proposal is aborted with ErrClosed
-// before SubmitBatch returns. The slice is owned by the engine once
-// submitted; the caller must not reuse it.
+// order, and the run queue hands them out after every proposal submitted
+// before them — including earlier batches' proposals, however many
+// SubmitBatch calls came back to back. On a closed engine every proposal
+// is aborted with ErrClosed before SubmitBatch returns. The slice is owned
+// by the engine once submitted; the caller must not reuse it.
 func (e *Engine) SubmitBatch(ps []Proposal) {
 	if len(ps) == 0 {
 		return
@@ -379,8 +448,8 @@ func (e *Engine) SubmitBatch(ps []Proposal) {
 		go e.drain(t)
 		return
 	}
-	t.pos = int32(len(e.queue))
-	e.queue = append(e.queue, t)
+	t.pos = int32(e.queue.len())
+	e.queue.pushBack(t)
 	e.mu.Unlock()
 }
 
@@ -389,6 +458,19 @@ func (e *Engine) SubmitBatch(ps []Proposal) {
 // ceiling for it), and the head task is returned for the calling drain to
 // run directly. Returns nil if the engine closed first — the batch is
 // then fully aborted and the caller releases its slot.
+//
+// The tail goes in at the head of the run queue, not at its back: tasks
+// queued since the descriptor was submitted must not overtake it. The head
+// is exactly the descriptor's own place, because a non-empty queue implies
+// that every worker slot is taken: a submission, wake or expansion queues
+// only what it cannot hand to a new drain, and a drain releases its slot
+// only on finding the queue empty (or the engine closed). So a descriptor
+// handed straight to a drain met an empty queue, and everything queued by
+// the time it expands came after it; a descriptor dequeued from the head
+// (by a drain or a helper) was ahead of everything still queued, and
+// everything queued since came after it too. Either way, every task behind
+// the tail was submitted after the batch, and on one worker proposals
+// start in submission order across any number of descriptors.
 func (e *Engine) expand(bt *task) *task {
 	ps := bt.batch
 	bt.batch = nil
@@ -412,9 +494,7 @@ func (e *Engine) expand(bt *task) *task {
 	spawn := min(e.workers-e.active, len(tasks)-1)
 	e.active += spawn
 	e.wg.Add(spawn)
-	for i := 1 + spawn; i < len(tasks); i++ {
-		e.queue = append(e.queue, &tasks[i])
-	}
+	e.queue.pushFront(tasks[1+spawn:])
 	e.mu.Unlock()
 	for i := 0; i < spawn; i++ {
 		go e.drain(&tasks[1+i])
@@ -441,8 +521,8 @@ func (e *Engine) enqueue(t *task) {
 		go e.drain(t)
 		return
 	}
-	t.pos = int32(len(e.queue))
-	e.queue = append(e.queue, t)
+	t.pos = int32(e.queue.len())
+	e.queue.pushBack(t)
 	e.mu.Unlock()
 }
 
@@ -498,13 +578,12 @@ func (e *Engine) drainLoop(t *task) {
 		}
 		e.run(t)
 		e.mu.Lock()
-		if len(e.queue) == 0 || e.closed {
+		if e.queue.len() == 0 || e.closed {
 			e.active--
 			e.mu.Unlock()
 			return
 		}
-		t = e.queue[0]
-		e.queue = e.queue[1:]
+		t = e.queue.popFront()
 		e.mu.Unlock()
 	}
 }
@@ -519,12 +598,11 @@ func (e *Engine) drainLoop(t *task) {
 // drain would, and the helper runs its first proposal.
 func (e *Engine) Help() bool {
 	e.mu.Lock()
-	if len(e.queue) == 0 || e.closed {
+	if e.queue.len() == 0 || e.closed {
 		e.mu.Unlock()
 		return false
 	}
-	t := e.queue[0]
-	e.queue = e.queue[1:]
+	t := e.queue.popFront()
 	e.wg.Add(1)
 	e.mu.Unlock()
 	defer e.wg.Done()
@@ -671,8 +749,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	queued := e.queue
-	e.queue = nil
+	queued := e.queue.takeAll()
 	var parked []*task
 	for t := range e.parked {
 		parked = append(parked, t)

@@ -60,13 +60,18 @@ type LockFree struct {
 // than at a slice header halves Update's allocation cost — the header would
 // have to be heap-allocated to be CASed, while unsafe.Slice rebuilds it for
 // free (r is fixed for the object's lifetime). The element pointer is a
-// sound CAS identity: every version comes from its own make, and an address
-// can only be reused after its array is unreachable — impossible while any
-// loaded pointer to it (including a CAS argument) exists, so ABA cannot
-// occur.
+// sound CAS identity: every version an Update installs comes from its own
+// make, and an address can only be reused after its array is unreachable —
+// impossible while any loaded pointer to it (including a CAS argument)
+// exists. The one version installed more than once is the all-nil initial
+// version, made once in NewLockFree and reinstalled by every Reset; Reset
+// runs only while no operation is in flight, so no Update can hold a
+// pointer loaded before it and mistake the reinstalled version for the one
+// it loaded. So ABA cannot occur.
 type lfSnap struct {
-	r   int
-	cur atomic.Pointer[shmem.Value]
+	r    int
+	cur  atomic.Pointer[shmem.Value]
+	init *shmem.Value // the initial all-nil version, never written
 }
 
 // view returns the version the pointer identifies as a slice.
@@ -142,9 +147,10 @@ func NewLockFree(spec shmem.Spec) (*LockFree, error) {
 		snaps: make([]lfSnap, len(spec.Snaps)),
 	}
 	for i, r := range spec.Snaps {
-		initial := make([]shmem.Value, r)
-		m.snaps[i].r = r
-		m.snaps[i].cur.Store(m.snaps[i].checkLen(initial))
+		s := &m.snaps[i]
+		s.r = r
+		s.init = s.checkLen(make([]shmem.Value, r))
+		s.cur.Store(s.init)
 	}
 	return m, nil
 }
@@ -216,15 +222,15 @@ func (m *LockFree) Waiters() int64 { return m.notify.Waiters() }
 
 // Reset implements shmem.Resetter: it restores the initial all-nil state and
 // zeroes the counters. The caller must guarantee no operation is in flight.
-// Previously scanned versions stay immutable — Reset installs fresh initial
-// versions rather than mutating old ones.
+// Previously scanned versions stay immutable — Reset reinstalls each
+// snapshot object's initial version, which nothing ever writes, rather
+// than mutating the current one — and it allocates nothing.
 func (m *LockFree) Reset() {
 	for i := range m.regs {
 		m.regs[i].Store(nil)
 	}
 	for i := range m.snaps {
-		initial := make([]shmem.Value, m.snaps[i].r)
-		m.snaps[i].cur.Store(m.snaps[i].checkLen(initial))
+		m.snaps[i].cur.Store(m.snaps[i].init)
 	}
 	m.steps.Store(0)
 	m.retries.Store(0)

@@ -69,9 +69,12 @@ func decideBatch(t *testing.T, ops []sa.BatchOp[int], keys int, loop bool) []int
 // TestBatchSubmissionOrderDeterminism: for a fixed within-key order,
 // every cross-key permutation of the batch — and the equivalent
 // ProposeAsync loop — decides the same value per key on a single-worker
-// engine.
+// engine. The batch is longer than three of SubmitBatch's 16-proposal
+// chunks, so some key's contenders straddle a chunk boundary: the chunks
+// reach the engine while earlier ones run, and must still start in op
+// order.
 func TestBatchSubmissionOrderDeterminism(t *testing.T) {
-	const keys, procs = 6, 3
+	const keys, procs = 20, 3
 	canonical := make([]sa.BatchOp[int], 0, keys*procs)
 	for k := 0; k < keys; k++ {
 		for p := 0; p < procs; p++ {
